@@ -39,8 +39,7 @@
 //! park after one failed steal sweep instead of spinning. A
 //! `grouped_partials` cell runs a commutative grouped aggregate at a
 //! shard-incompatible group key — per-worker hash partials replace the
-//! chain-morsel fallback (`chain_morsels == 0`) — with the adaptive
-//! morsel controller swept off vs on.
+//! chain-morsel fallback (`chain_morsels == 0`).
 //!
 //! The `fault_recovery` group prices the robustness layer: an inert
 //! fault plan vs none (per-invocation injection-hook overhead), a
@@ -306,7 +305,6 @@ fn bench_hot_key_skew(c: &mut Criterion) {
                         .with_max_batch_size(64)
                         .with_shards(4)
                         .with_shard_key("events", 0)
-                        .with_morsel_batches(1) // finest morsels: maximal rebalancing
                         .with_stealing(stealing);
                     e.register_stream("events", event_schema());
                     e.add_query(LogicalPlan::source("events").aggregate(
@@ -412,71 +410,59 @@ fn bench_hot_key_skew(c: &mut Criterion) {
     // shard-incompatible group key (the Int payload, col 1 — the shard key
     // is col 0) runs as per-worker hash partials combined on the control
     // thread instead of falling back to serialized chain morsels behind
-    // the merge barrier. Swept with the adaptive morsel controller off vs
-    // on; under the controller the configured grain is only a ceiling.
+    // the merge barrier.
     let params = HotKeyParams::skewed(20_000);
     let base = hot_key_rows(&params);
     let span = params.rows as u64;
-    for adaptive in [false, true] {
-        group.bench_with_input(
-            BenchmarkId::new(
-                "grouped_partials",
-                if adaptive { "adaptive" } else { "static" },
-            ),
-            &adaptive,
-            |b, &adaptive| {
-                let mut e = DsmsEngine::new()
-                    .with_max_batch_size(64)
-                    .with_shards(4)
-                    .with_shard_key("events", 0)
-                    .with_morsel_batches(8)
-                    .with_stealing(true)
-                    .with_adaptive_morsels(adaptive);
-                e.register_stream("events", event_schema());
-                e.add_query(LogicalPlan::source("events").aggregate(Some(1), AggFunc::Sum, 1, 500))
-                    .expect("valid plan");
-                let mut epoch = 0u64;
-                let mut feed = |e: &mut DsmsEngine| {
-                    let off = epoch * span;
-                    epoch += 1;
-                    // Fold the ramp payload down to eight groups so every
-                    // group spans many rows, home shards, and therefore
-                    // worker partitions — each window close must combine
-                    // per-partition partial runs.
-                    let rows = base
-                        .iter()
-                        .map(|r| {
-                            Tuple::new(
-                                r.ts + off,
-                                vec![Value::Int(r.key as i64), Value::Int(r.value % 8)],
-                            )
-                        })
-                        .collect();
-                    e.push_rows("events", rows);
-                };
-                // Warmup flush spawns the pool; count from a clean slate.
-                feed(&mut e);
-                cqac_dsms::types::work::reset();
-                b.iter(|| {
-                    feed(&mut e);
-                    black_box(e.tuples_processed())
-                });
-                let snap = cqac_dsms::types::work::snapshot();
-                assert!(
-                    snap.grouped_partial_rows > 0,
-                    "grouped rows must accumulate in per-worker partials"
-                );
-                assert!(
-                    snap.partial_groups_combined > 0,
-                    "the watermark pass must combine per-group partial runs"
-                );
-                assert_eq!(
-                    snap.chain_morsels, 0,
-                    "a commutative grouped workload needs no chain-morsel fallback"
-                );
-            },
+    group.bench_function("grouped_partials", |b| {
+        let mut e = DsmsEngine::new()
+            .with_max_batch_size(64)
+            .with_shards(4)
+            .with_shard_key("events", 0)
+            .with_stealing(true);
+        e.register_stream("events", event_schema());
+        e.add_query(LogicalPlan::source("events").aggregate(Some(1), AggFunc::Sum, 1, 500))
+            .expect("valid plan");
+        let mut epoch = 0u64;
+        let mut feed = |e: &mut DsmsEngine| {
+            let off = epoch * span;
+            epoch += 1;
+            // Fold the ramp payload down to eight groups so every
+            // group spans many rows, home shards, and therefore
+            // worker partitions — each window close must combine
+            // per-partition partial runs.
+            let rows = base
+                .iter()
+                .map(|r| {
+                    Tuple::new(
+                        r.ts + off,
+                        vec![Value::Int(r.key as i64), Value::Int(r.value % 8)],
+                    )
+                })
+                .collect();
+            e.push_rows("events", rows);
+        };
+        // Warmup flush spawns the pool; count from a clean slate.
+        feed(&mut e);
+        cqac_dsms::types::work::reset();
+        b.iter(|| {
+            feed(&mut e);
+            black_box(e.tuples_processed())
+        });
+        let snap = cqac_dsms::types::work::snapshot();
+        assert!(
+            snap.grouped_partial_rows > 0,
+            "grouped rows must accumulate in per-worker partials"
         );
-    }
+        assert!(
+            snap.partial_groups_combined > 0,
+            "the watermark pass must combine per-group partial runs"
+        );
+        assert_eq!(
+            snap.chain_morsels, 0,
+            "a commutative grouped workload needs no chain-morsel fallback"
+        );
+    });
     group.finish();
 }
 

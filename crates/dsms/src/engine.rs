@@ -5,9 +5,13 @@
 //! Determinism is a design requirement, not an optimization: the
 //! transition-correctness guarantee ("CQs that continue to execute for the
 //! next day produce correct results") is proved here *by test*, which needs
-//! replay-exact runs. The engine is single-threaded, processes nodes in
-//! ascending id order (a topological order — see `network.rs`), and uses
-//! event-time watermarks for all windowing.
+//! replay-exact runs. The control loop runs on the calling thread,
+//! processes nodes in ascending id order (a topological order — see
+//! `network.rs`), and uses event-time watermarks for all windowing. With a
+//! shard count above 1 ([`DsmsEngine::set_shards`]) the stateless prefixes
+//! and compatibly keyed stateful operators run on a persistent worker
+//! pool first; a deterministic merge keeps every output identical to the
+//! one-shard run.
 //!
 //! ## Batched execution
 //!
@@ -160,7 +164,9 @@ pub struct StreamStats {
 }
 
 /// Per-shard execution statistics of the parallel executor (all zero while
-/// the engine runs single-threaded).
+/// the engine runs at one shard). The index is the pool worker that
+/// executed the work, which under stealing need not be the rows' home
+/// shard.
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
     /// Rows this shard's workers fed into prefix operators.
@@ -222,9 +228,6 @@ pub struct DsmsEngine {
     batches: u64,
     /// Ingestion batch-size cap.
     max_batch_size: usize,
-    /// When true (the default), operator calls are wall-clock timed so the
-    /// measured cost model can normalize per-batch work to per-tuple load.
-    timing: bool,
     /// Per-stream shard-key column for hash partitioning (streams without
     /// one fall back to round-robin batch distribution).
     shard_keys: HashMap<String, usize>,
@@ -247,18 +250,8 @@ pub struct DsmsEngine {
     /// The persistent worker pool (threads spawn lazily on the first
     /// parallel flush and park between flushes).
     pool: WorkerPool,
-    /// Morsel granularity: how many work units (partitioned sub-batches)
-    /// one morsel carries.
-    morsel_batches: usize,
     /// Whether idle workers steal morsels from busy workers' deque tails.
     stealing: bool,
-    /// Whether the adaptive morsel controller drives the effective grain
-    /// (`morsel_batches` is then its ceiling). Off by default.
-    adaptive_morsels: bool,
-    /// The adaptive controller's cost statistics (per keyless stream +
-    /// one class for the keyed plan), fed by per-morsel
-    /// [`work::WorkSnapshot::cost_units`] deltas.
-    adaptive: AdaptiveState,
     /// The fault-injection plan driving soak tests and benches (`None` —
     /// inert — outside them).
     fault: Option<Arc<FaultPlan>>,
@@ -304,7 +297,6 @@ impl DsmsEngine {
             processed: 0,
             batches: 0,
             max_batch_size: TupleBatch::DEFAULT_MAX_BATCH,
-            timing: true,
             shard_keys: HashMap::new(),
             shard_rr: HashMap::new(),
             shard_stats: vec![ShardStats::default()],
@@ -312,10 +304,7 @@ impl DsmsEngine {
             keyed_cache: None,
             merged_pending: VecDeque::new(),
             pool: WorkerPool::default(),
-            morsel_batches: 1,
             stealing: true,
-            adaptive_morsels: false,
-            adaptive: AdaptiveState::default(),
             fault: None,
             pending_panics: Vec::new(),
             quarantine_log: Vec::new(),
@@ -378,10 +367,12 @@ impl DsmsEngine {
     /// Sets the worker-shard count — the knob next to the batch-size and
     /// fusion knobs. `1` (the default) compiles down to the single-threaded
     /// path; `n > 1` runs each stream's stateless prefix (filters,
-    /// projections, fused chains) on `n` worker threads and merges shard
-    /// outputs deterministically before stateful operators and sinks, so
-    /// outputs are bit-identical to the single-threaded engine regardless
-    /// of shard count.
+    /// projections, fused chains) — plus, for streams with a shard key
+    /// ([`DsmsEngine::set_shard_key`]), every compatibly keyed join and
+    /// aggregate — as one-unit morsels on `n` pooled worker threads (left
+    /// to the OS scheduler, not pinned to cores), and merges their outputs
+    /// deterministically, so outputs are bit-identical to the
+    /// single-threaded engine regardless of shard count.
     ///
     /// Changing the count resets the per-shard statistics
     /// ([`DsmsEngine::shard_stats`], [`StreamStats::shard_rows`]) and the
@@ -467,31 +458,6 @@ impl DsmsEngine {
         &self.shard_stats
     }
 
-    /// Sets the morsel granularity (builder form; see
-    /// [`DsmsEngine::set_morsel_batches`]).
-    pub fn with_morsel_batches(mut self, n: usize) -> Self {
-        self.set_morsel_batches(n);
-        self
-    }
-
-    /// Sets the morsel granularity: how many work units (hash-partitioned
-    /// sub-batches or round-robin source batches) one morsel carries. `1`
-    /// (the default) maximizes stealable parallelism; larger morsels
-    /// amortize deque traffic at the cost of coarser rebalancing. Outputs
-    /// are bit-identical at every setting.
-    ///
-    /// # Panics
-    /// Panics when `n == 0`.
-    pub fn set_morsel_batches(&mut self, n: usize) {
-        assert!(n > 0, "morsel size must be positive");
-        self.morsel_batches = n;
-    }
-
-    /// The current morsel granularity.
-    pub fn morsel_batches(&self) -> usize {
-        self.morsel_batches
-    }
-
     /// Enables or disables work stealing (builder form; see
     /// [`DsmsEngine::set_stealing`]).
     pub fn with_stealing(mut self, enabled: bool) -> Self {
@@ -502,8 +468,12 @@ impl DsmsEngine {
     /// Enables or disables work stealing between the pool workers. On by
     /// default: an idle worker pops morsels from the tails of busy
     /// workers' deques, so skewed key distributions rebalance across
-    /// cores. Disabling pins every morsel to its home shard's worker
-    /// (fork/join behavior). Outputs are bit-identical either way.
+    /// cores. A morsel is one round-robin source batch, one home shard's
+    /// slice of a keyed source batch, or — for order-sensitive keyed
+    /// plans — a home shard's whole keyed share (a chain morsel).
+    /// Disabling pins every morsel to its home shard's worker (fork/join
+    /// behavior), which also makes the schedule, and with it every work
+    /// counter, deterministic. Outputs are bit-identical either way.
     pub fn set_stealing(&mut self, enabled: bool) {
         self.stealing = enabled;
     }
@@ -511,44 +481,6 @@ impl DsmsEngine {
     /// Whether work stealing is enabled.
     pub fn stealing(&self) -> bool {
         self.stealing
-    }
-
-    /// Enables adaptive morsel sizing (builder form; see
-    /// [`DsmsEngine::set_adaptive_morsels`]).
-    pub fn with_adaptive_morsels(mut self, enabled: bool) -> Self {
-        self.set_adaptive_morsels(enabled);
-        self
-    }
-
-    /// Enables or disables the adaptive morsel controller. Off by
-    /// default: every flush then cuts morsels at exactly
-    /// [`DsmsEngine::morsel_batches`] units, bit-for-bit today's static
-    /// behavior. When on, that knob becomes the **ceiling** of a
-    /// controller that tracks per-morsel execution cost (deterministic
-    /// [`work::WorkSnapshot::cost_units`], not wall clock) in a
-    /// per-stream EWMA + spread estimate: a high spread across a flush's
-    /// morsels (skew) shrinks the effective grain toward 1 so stealing
-    /// rebalances at fine granularity, a uniform cost profile grows it
-    /// back toward the ceiling to amortize deque traffic. Grain changes
-    /// are counted ([`work::WorkSnapshot::adaptive_resizes`]); the grain
-    /// for a flush is computed only from *prior* flushes' statistics, so
-    /// the morsel cutting — and therefore the whole resize trace — is a
-    /// deterministic function of the input. Outputs are bit-identical
-    /// either way.
-    pub fn set_adaptive_morsels(&mut self, enabled: bool) {
-        self.adaptive_morsels = enabled;
-    }
-
-    /// Whether adaptive morsel sizing is enabled.
-    pub fn adaptive_morsels(&self) -> bool {
-        self.adaptive_morsels
-    }
-
-    /// Enables or disables per-batch operator timing. On by default (the
-    /// measured cost model needs it); disable for maximum-throughput
-    /// serving when only analytic costs are used.
-    pub fn set_timing(&mut self, enabled: bool) {
-        self.timing = enabled;
     }
 
     /// The underlying network (read-only).
@@ -1068,7 +1000,6 @@ impl DsmsEngine {
         }
 
         // -- 2. Parallel execution on the persistent pool ----------------
-        let timing = self.timing;
         let columnar = crate::ops::columnar_kernels_enabled();
         let simd = crate::ops::simd_kernels_enabled();
         let mut exits: HashMap<u32, Vec<Target>> = HashMap::new();
@@ -1080,7 +1011,6 @@ impl DsmsEngine {
         for node in &keyed.nodes {
             exits.insert(node.id.0, node.exits.clone());
         }
-        let fault = self.fault.as_deref();
         let network = &self.network;
         let rr_resolved: Vec<ResolvedPrefix<'_>> = rr_plans
             .iter()
@@ -1129,67 +1059,49 @@ impl DsmsEngine {
                 }
             })
             .collect();
-        let keyed_roots: Vec<Vec<(usize, usize)>> =
-            keyed.roots.iter().map(|r| r.targets.clone()).collect();
+        let ctx = FlushCtx {
+            rr: rr_resolved,
+            keyed: keyed_resolved,
+            roots: keyed.roots.iter().map(|r| r.targets.clone()).collect(),
+            watermark,
+            fault: self.fault.as_deref(),
+        };
 
         // -- 2a. Cut morsels ---------------------------------------------
-        // Round-robin units are always independent (stateless, whole
+        // Every round-robin unit is its own morsel (stateless, whole
         // batches, path-keyed merge). Keyed units are independent exactly
         // when every stateful plan member's absorption commutes
-        // ([`crate::ops::Operator::keyed_commutative`]): joins and inexact
-        // (float) aggregates are order-sensitive, so each home shard's
-        // keyed units then run as one sequential **chain** morsel —
-        // stealable whole, so a hot shard can still migrate to an idle
-        // worker.
+        // ([`crate::ops::Operator::keyed_commutative`]), and are then one
+        // morsel each too. Joins and inexact (float) aggregates are
+        // order-sensitive, so each home shard's keyed units then run as
+        // one sequential **chain** morsel — stealable whole, so a hot shard
+        // can still migrate to an idle worker.
         let ordered = keyed.nodes.iter().any(|kn| {
             kn.stateful
                 && network
                     .node(kn.id)
                     .is_some_and(|n| !n.op.keyed_commutative())
         });
-        // Effective morsel grain: the static knob, or — adaptive mode —
-        // the controller's pick from *prior* flushes' per-morsel cost
-        // statistics (never this flush's, so the cutting is a
-        // deterministic function of the input). The first adaptive flush
-        // has no statistics and cuts at the ceiling, i.e. exactly the
-        // static behavior.
-        let adaptive = self.adaptive_morsels;
-        let cap = self.morsel_batches;
-        let morsel_units = if adaptive {
-            let have_keyed = keyed_units.iter().any(|u| !u.is_empty());
-            self.adaptive
-                .grain(cap, plan_of_stream.keys().map(String::as_str), have_keyed)
-        } else {
-            cap
-        };
         let mut deques: Vec<VecDeque<Morsel>> = (0..shards).map(|_| VecDeque::new()).collect();
-        let mut dispatched = 0usize;
         for (s, units) in rr_units.into_iter().enumerate() {
-            for chunk in chunked(units, morsel_units) {
-                deques[s].push_back(Morsel::Rr(chunk));
-                dispatched += 1;
-            }
+            deques[s].extend(units.into_iter().map(Morsel::Rr));
         }
         for (s, units) in keyed_units.into_iter().enumerate() {
-            if ordered {
-                if !units.is_empty() || run_advance {
-                    // Chain fallbacks are the cost of order sensitivity:
-                    // the counter lets benches assert commutative grouped
-                    // plans stopped paying it.
-                    work::count_chain_morsel();
-                    deques[s].push_back(Morsel::Chain { home: s, units });
-                    dispatched += 1;
-                }
-            } else {
-                for chunk in chunked(units, morsel_units) {
-                    deques[s].push_back(Morsel::Keyed {
-                        home: s,
-                        units: chunk,
-                    });
-                    dispatched += 1;
-                }
+            if !ordered {
+                deques[s].extend(
+                    units
+                        .into_iter()
+                        .map(|unit| Morsel::Keyed { home: s, unit }),
+                );
+            } else if !units.is_empty() || run_advance {
+                // Chain fallbacks are the cost of order sensitivity: the
+                // counter lets benches assert commutative grouped plans
+                // stopped paying it.
+                work::count_chain_morsel();
+                deques[s].push_back(Morsel::Chain { home: s, units });
             }
         }
+        let dispatched = deques.iter().map(VecDeque::len).sum();
         let sched = MorselScheduler {
             deques: deques.into_iter().map(Mutex::new).collect(),
             pending: AtomicUsize::new(dispatched),
@@ -1207,9 +1119,7 @@ impl DsmsEngine {
         // -- 2b. Morsel-driven execution on the persistent pool ----------
         let jobs: Vec<ShardJob<'_>> = (0..shards)
             .map(|worker| {
-                let rr_resolved = &rr_resolved;
-                let keyed_resolved = &keyed_resolved;
-                let keyed_roots = &keyed_roots;
+                let ctx = &ctx;
                 let sched = &sched;
                 let job: ShardJob<'_> = Box::new(move || {
                     // Injected worker death fires at job start, before any
@@ -1219,7 +1129,7 @@ impl DsmsEngine {
                     // raised *before* the panic so no survivor can hang on
                     // the advance barrier waiting for the dead worker's
                     // share of `pending`.
-                    if let Some(fault) = fault {
+                    if let Some(fault) = ctx.fault {
                         if fault.claims_worker_death(worker) {
                             sched.deserted.store(true, Ordering::Release);
                             std::panic::panic_any(WorkerDeath);
@@ -1240,56 +1150,13 @@ impl DsmsEngine {
                         if stolen {
                             work::count_morsel_stolen();
                         }
-                        // Adaptive mode: attribute this morsel's cost to a
-                        // controller class — the first unit's stream for
-                        // round-robin chunks (a chunk can mix streams;
-                        // first-unit attribution keeps it deterministic),
-                        // one shared class for the keyed plan. The cost is
-                        // the morsel's `cost_units` delta: deterministic
-                        // row/eval counts, so the sample multiset does not
-                        // depend on which worker ran what.
-                        let class = adaptive.then(|| match &morsel {
-                            Morsel::Rr(units) => units[0].plan as u32,
-                            Morsel::Keyed { .. } | Morsel::Chain { .. } => u32::MAX,
-                        });
-                        let before = class.map(|_| work::snapshot().cost_units());
                         // Kernel panics are caught per invocation *inside*
                         // the worker bodies (recover-and-continue); this
                         // outer net only catches genuine executor bugs,
                         // which still abort the flush.
-                        let done = std::panic::catch_unwind(AssertUnwindSafe(|| match morsel {
-                            Morsel::Rr(units) => {
-                                shard_worker(rr_resolved, units, timing, fault, &mut report);
-                            }
-                            Morsel::Keyed { home, units } => keyed_worker(
-                                home,
-                                worker,
-                                keyed_resolved,
-                                keyed_roots,
-                                units,
-                                watermark,
-                                timing,
-                                false,
-                                fault,
-                                &mut report,
-                            ),
-                            Morsel::Chain { home, units } => keyed_worker(
-                                home,
-                                worker,
-                                keyed_resolved,
-                                keyed_roots,
-                                units,
-                                watermark,
-                                timing,
-                                true,
-                                fault,
-                                &mut report,
-                            ),
+                        let done = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            ctx.run_morsel(morsel, Some(worker), &mut report);
                         }));
-                        if let (Some(class), Some(before)) = (class, before) {
-                            let cost = work::snapshot().cost_units().saturating_sub(before);
-                            report.morsel_costs.push((class, cost));
-                        }
                         sched.pending.fetch_sub(1, Ordering::AcqRel);
                         if let Err(payload) = done {
                             // Unblock the other workers' barriers before
@@ -1320,18 +1187,7 @@ impl DsmsEngine {
                         if sched.pending.load(Ordering::Acquire) == 0
                             && !sched.aborted.load(Ordering::Acquire)
                         {
-                            keyed_worker(
-                                worker,
-                                worker,
-                                keyed_resolved,
-                                keyed_roots,
-                                Vec::new(),
-                                watermark,
-                                timing,
-                                true,
-                                fault,
-                                &mut report,
-                            );
+                            ctx.advance_partition(worker, &mut report);
                             report.advanced = true;
                         }
                     } else {
@@ -1378,56 +1234,19 @@ impl DsmsEngine {
             let mut recovery = ShardReport::default();
             for deque in &sched.deques {
                 loop {
+                    // Pop under a short-lived guard: the morsel runs with
+                    // the deque unlocked.
                     let Some(morsel) = lock_deque(deque).pop_front() else {
                         break;
                     };
                     work::count_morsel_executed();
-                    match morsel {
-                        Morsel::Rr(units) => {
-                            shard_worker(&rr_resolved, units, timing, fault, &mut recovery);
-                        }
-                        Morsel::Keyed { home, units } => keyed_worker(
-                            home,
-                            home,
-                            &keyed_resolved,
-                            &keyed_roots,
-                            units,
-                            watermark,
-                            timing,
-                            false,
-                            fault,
-                            &mut recovery,
-                        ),
-                        Morsel::Chain { home, units } => keyed_worker(
-                            home,
-                            home,
-                            &keyed_resolved,
-                            &keyed_roots,
-                            units,
-                            watermark,
-                            timing,
-                            true,
-                            fault,
-                            &mut recovery,
-                        ),
-                    }
+                    ctx.run_morsel(morsel, None, &mut recovery);
                 }
             }
             if advance_phase {
                 for (w, report) in &reports {
                     if !report.advanced {
-                        keyed_worker(
-                            *w,
-                            *w,
-                            &keyed_resolved,
-                            &keyed_roots,
-                            Vec::new(),
-                            watermark,
-                            timing,
-                            true,
-                            fault,
-                            &mut recovery,
-                        );
+                        ctx.advance_partition(*w, &mut recovery);
                     }
                 }
             }
@@ -1460,10 +1279,8 @@ impl DsmsEngine {
 
         // -- 3. Deterministic merge --------------------------------------
         let mut merged: BTreeMap<(u32, Vec<u32>), Parts> = BTreeMap::new();
-        let mut morsel_costs: Vec<(u32, u64)> = Vec::new();
         for (s, report) in reports {
             work::absorb(&report.work);
-            morsel_costs.extend(report.morsel_costs);
             self.processed += report.rows;
             self.batches += report.batches;
             debug_assert!(
@@ -1490,18 +1307,6 @@ impl DsmsEngine {
             for (node, entry, batch, tags) in report.outputs {
                 merged.entry((node, entry)).or_default().push((batch, tags));
             }
-        }
-        if !morsel_costs.is_empty() {
-            // Fold this flush's cost samples into the controller's EWMAs
-            // for the *next* flush. Which worker reported a sample is
-            // racy; the per-class sample multiset is not, and `observe`
-            // sorts before folding, so the EWMA trajectory — and with it
-            // the resize trace — is deterministic.
-            let mut class_streams = vec![String::new(); rr_plans.len()];
-            for (stream, &idx) in &plan_of_stream {
-                class_streams[idx] = stream.clone();
-            }
-            self.adaptive.observe(&class_streams, morsel_costs);
         }
         // BTreeMap order = ascending (node id, entry path): exactly the
         // order the single-threaded node loop dispatches these outputs.
@@ -1626,21 +1431,20 @@ impl DsmsEngine {
                     // (forwarded undensified by `dispatch_selected`);
                     // everything else produces dense output batches.
                     let mut refined: Option<(Arc<TupleBatch>, Vec<u32>)> = None;
-                    let mut caught: Option<String> = None;
-                    {
-                        let fault = self.fault.clone();
+                    let ok = {
+                        let fault = self.fault.as_deref();
                         let node = self.network.node_mut(id).expect("live node");
                         node.in_count += in_rows;
                         node.in_batches += 1;
                         let kind = node.kind;
-                        let start = self.timing.then(Instant::now);
-                        // One panic net per kernel invocation, mirroring
+                        let start = Instant::now();
+                        // One panic net per kernel invocation, shared with
                         // the pooled workers: a panicking kernel loses
                         // only this invocation's outputs and resolves into
                         // a quarantine at quiescence — per query, never
                         // per process.
-                        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            inject(fault.as_deref(), kind, shared.ts());
+                        let ok = run_kernel(id.0, &mut self.pending_panics, || {
+                            inject(fault, kind, shared.ts());
                             let refine = node.op.shard_kernel().and_then(|k| {
                                 k.refine_selection(&shared, sel.as_ref().map(|s| s.as_slice()))
                             });
@@ -1677,19 +1481,15 @@ impl DsmsEngine {
                                     node.op.process_batch(port, batch, &mut out_bufs);
                                 }
                             }
-                        }));
-                        if let Some(start) = start {
-                            node.busy += start.elapsed();
-                        }
+                        })
+                        .is_some();
+                        node.busy += start.elapsed();
                         node.out_count += out_bufs.iter().map(|b| b.len() as u64).sum::<u64>();
-                        if let Err(payload) = attempt {
-                            caught = Some(panic_message(payload));
-                        }
-                    }
-                    if let Some(message) = caught {
+                        ok
+                    };
+                    if !ok {
                         out_bufs.clear();
                         refined = None;
-                        self.pending_panics.push((id.0, message));
                     }
                     if let Some((batch, out_sel)) = refined {
                         self.dispatch_selected(id, batch, out_sel);
@@ -1727,36 +1527,31 @@ impl DsmsEngine {
                 });
                 if needs_watermark {
                     out_bufs.clear();
-                    let mut caught: Option<String> = None;
-                    {
-                        let fault = self.fault.clone();
+                    let ok = {
+                        let fault = self.fault.as_deref();
                         let watermark = self.watermark;
                         let node = self.network.node_mut(id).expect("live node");
                         let kind = node.kind;
                         // Timed too: window-close work (eviction, emission)
                         // happens here, and the measured cost model must
                         // not undercount stateful operators.
-                        let start = self.timing.then(Instant::now);
-                        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            inject(fault.as_deref(), kind, &[]);
+                        let start = Instant::now();
+                        let ok = run_kernel(id.0, &mut self.pending_panics, || {
+                            inject(fault, kind, &[]);
                             node.op.advance_watermark(watermark, &mut out_bufs);
-                        }));
-                        if let Some(start) = start {
-                            node.busy += start.elapsed();
-                        }
+                        })
+                        .is_some();
+                        node.busy += start.elapsed();
                         // Marked even when the pass panicked: the node is
                         // about to be quarantined, and re-running a
                         // panicking advance on every pass would never
                         // reach quiescence.
                         node.last_watermark = watermark;
                         node.out_count += out_bufs.iter().map(|b| b.len() as u64).sum::<u64>();
-                        if let Err(payload) = attempt {
-                            caught = Some(panic_message(payload));
-                        }
-                    }
-                    if let Some(message) = caught {
+                        ok
+                    };
+                    if !ok {
                         out_bufs.clear();
-                        self.pending_panics.push((id.0, message));
                     }
                     if !out_bufs.is_empty() {
                         any = true;
@@ -1879,23 +1674,20 @@ impl DsmsEngine {
             let mut any = false;
             for id in self.network.node_ids() {
                 out_bufs.clear();
-                let mut caught: Option<String> = None;
-                {
-                    let fault = self.fault.clone();
+                let ok = {
+                    let fault = self.fault.as_deref();
                     let node = self.network.node_mut(id).expect("live node");
                     let kind = node.kind;
-                    let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        inject(fault.as_deref(), kind, &[]);
+                    let ok = run_kernel(id.0, &mut self.pending_panics, || {
+                        inject(fault, kind, &[]);
                         node.op.finish(&mut out_bufs);
-                    }));
+                    })
+                    .is_some();
                     node.out_count += out_bufs.iter().map(|b| b.len() as u64).sum::<u64>();
-                    if let Err(payload) = attempt {
-                        caught = Some(panic_message(payload));
-                    }
-                }
-                if let Some(message) = caught {
+                    ok
+                };
+                if !ok {
                     out_bufs.clear();
-                    self.pending_panics.push((id.0, message));
                 }
                 if !out_bufs.is_empty() {
                     any = true;
@@ -2082,137 +1874,14 @@ struct KeyedUnit {
 /// indices, row tags), so the deterministic merge is independent of which
 /// worker executes it and in what order.
 enum Morsel {
-    /// Round-robin units headed into their stateless prefixes.
-    Rr(Vec<ShardUnit>),
-    /// Independent keyed units of one `home` shard — stealable at unit
-    /// granularity because every stateful plan member combines
-    /// commutatively.
-    Keyed { home: usize, units: Vec<KeyedUnit> },
+    /// One round-robin unit headed into its stateless prefix.
+    Rr(ShardUnit),
+    /// One independent keyed unit of the `home` shard — stealable on its
+    /// own because every stateful plan member combines commutatively.
+    Keyed { home: usize, unit: KeyedUnit },
     /// One `home` shard's entire keyed workload plus its watermark pass,
     /// run sequentially (order-sensitive plans: joins, float aggregates).
     Chain { home: usize, units: Vec<KeyedUnit> },
-}
-
-/// The adaptive morsel controller's persistent statistics: one cost EWMA
-/// per round-robin stream plus one for the keyed plan (whose morsels all
-/// walk the same plan). Samples are per-morsel
-/// [`work::WorkSnapshot::cost_units`] deltas — deterministic row/eval
-/// counts, never wall clock — so the whole controller is a deterministic
-/// function of the input stream, reproducible across runs and shard
-/// schedules.
-#[derive(Debug, Default)]
-struct AdaptiveState {
-    /// Per-keyless-stream statistics (keyed by stream name — round-robin
-    /// plan indices are flush-scoped).
-    streams: HashMap<String, ClassEwma>,
-    /// The keyed plan's statistics.
-    keyed: ClassEwma,
-    /// The previous flush's effective grain (resize detection).
-    last_grain: Option<usize>,
-}
-
-/// One controller class's running estimate: mean per-morsel cost and the
-/// spread (max − min) across each flush's morsels, both as Q8
-/// fixed-point EWMAs (α = 1/4). Integer arithmetic throughout — floats
-/// would reintroduce platform-dependent rounding into the resize trace.
-#[derive(Debug, Default)]
-struct ClassEwma {
-    cost: u64,
-    spread: u64,
-    seeded: bool,
-}
-
-impl ClassEwma {
-    fn update(&mut self, mean: u64, spread: u64) {
-        let m = mean.saturating_mul(256);
-        let s = spread.saturating_mul(256);
-        if self.seeded {
-            self.cost = (self.cost.saturating_mul(3).saturating_add(m)) / 4;
-            self.spread = (self.spread.saturating_mul(3).saturating_add(s)) / 4;
-        } else {
-            self.cost = m;
-            self.spread = s;
-            self.seeded = true;
-        }
-    }
-
-    /// The class's preferred grain: skew — spread as a fraction of the
-    /// mean, saturated at 1 (= 256 in Q8) — interpolates linearly from
-    /// the ceiling (uniform costs, amortize deque traffic) down to 1
-    /// (heavy skew, maximize stealable parallelism). Unseeded classes
-    /// vote for the ceiling, today's static behavior.
-    fn grain(&self, cap: usize) -> usize {
-        if !self.seeded {
-            return cap;
-        }
-        let skew = self
-            .spread
-            .saturating_mul(256)
-            .checked_div(self.cost.max(1))
-            .unwrap_or(0)
-            .min(256) as usize;
-        1 + (cap - 1) * (256 - skew) / 256
-    }
-}
-
-impl AdaptiveState {
-    /// The effective grain for a flush whose round-robin streams are
-    /// `rr_streams` (plus the keyed plan when `have_keyed`): the minimum
-    /// of every contributing class's preference — one skewed stream is
-    /// enough to need fine-grained rebalancing. Counts a resize whenever
-    /// the pick differs from the previous flush's.
-    fn grain<'a>(
-        &mut self,
-        cap: usize,
-        rr_streams: impl Iterator<Item = &'a str>,
-        have_keyed: bool,
-    ) -> usize {
-        let mut g = cap;
-        for stream in rr_streams {
-            if let Some(e) = self.streams.get(stream) {
-                g = g.min(e.grain(cap));
-            }
-        }
-        if have_keyed {
-            g = g.min(self.keyed.grain(cap));
-        }
-        if self.last_grain.is_some_and(|prev| prev != g) {
-            work::count_adaptive_resize();
-        }
-        self.last_grain = Some(g);
-        g
-    }
-
-    /// Folds one flush's cost samples into the class EWMAs. Samples are
-    /// sorted first: worker-to-morsel assignment is racy, but the
-    /// per-class multiset is deterministic, so sorting makes the fold —
-    /// and every later grain pick — independent of the schedule.
-    fn observe(&mut self, class_streams: &[String], mut samples: Vec<(u32, u64)>) {
-        samples.sort_unstable();
-        let mut i = 0;
-        while i < samples.len() {
-            let class = samples[i].0;
-            let mut j = i;
-            while j < samples.len() && samples[j].0 == class {
-                j += 1;
-            }
-            let run = &samples[i..j];
-            let n = run.len() as u64;
-            let sum: u64 = run.iter().fold(0u64, |a, &(_, c)| a.saturating_add(c));
-            let mean = sum / n;
-            // Sorted by (class, cost): the run's ends are min and max.
-            let spread = run[run.len() - 1].1 - run[0].1;
-            let stat = if class == u32::MAX {
-                &mut self.keyed
-            } else {
-                self.streams
-                    .entry(class_streams[class as usize].clone())
-                    .or_default()
-            };
-            stat.update(mean, spread);
-            i = j;
-        }
-    }
 }
 
 /// The flush-scoped morsel scheduler: one deque per worker, seeded with
@@ -2253,7 +1922,7 @@ impl MorselScheduler {
             return None;
         }
         let n = self.deques.len();
-        for victim in Self::victims(me, n) {
+        for victim in (1..n).map(|off| (me + off) % n) {
             match lock_deque(&self.deques[victim]).pop_back() {
                 Some(m) => return Some((m, true)),
                 None => work::count_steal_miss(),
@@ -2261,55 +1930,7 @@ impl MorselScheduler {
         }
         None
     }
-
-    /// Steal-victim visit order for worker `me` of `n`: ascending offset.
-    #[cfg(not(feature = "core_pinning"))]
-    fn victims(me: usize, n: usize) -> impl Iterator<Item = usize> {
-        (1..n).map(move |off| (me + off) % n)
-    }
-
-    /// Steal-victim visit order for worker `me` of `n`, by seat distance:
-    /// `+1, -1, +2, -2, …`. With pinned workers (seat = core), adjacent
-    /// seats share cache, so the nearest backlog is the cheapest steal.
-    /// Outputs are order-independent (the deterministic merge), so the
-    /// visit order is free to differ from the default build's.
-    #[cfg(feature = "core_pinning")]
-    fn victims(me: usize, n: usize) -> impl Iterator<Item = usize> {
-        (1..n).map(move |k| {
-            let d = k.div_ceil(2);
-            if k % 2 == 1 {
-                (me + d) % n
-            } else {
-                (me + n - d) % n
-            }
-        })
-    }
 }
-
-/// Pins the calling pool worker to core `seat mod available cores` via
-/// `sched_setaffinity(2)` — declared directly (std already links libc on
-/// Linux; no new dependency). Best effort: a container or cgroup that
-/// denies the call leaves the default mask, which is always correct.
-#[cfg(all(feature = "core_pinning", target_os = "linux"))]
-fn pin_worker(seat: usize) {
-    /// `cpu_set_t`: a 1024-bit mask (glibc's fixed default size).
-    #[repr(C)]
-    struct CpuSet([u64; 16]);
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let core = seat % cores;
-    let mut set = CpuSet([0; 16]);
-    set.0[core / 64] |= 1u64 << (core % 64);
-    // SAFETY: pid 0 = the calling thread; the mask outlives the call.
-    unsafe {
-        sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &set);
-    }
-}
-
-#[cfg(not(all(feature = "core_pinning", target_os = "linux")))]
-fn pin_worker(_seat: usize) {}
 
 /// Rides over mutex poisoning: every lock in the engine guards data whose
 /// invariants hold between operations (a deque of whole morsels, a slot
@@ -2365,26 +1986,49 @@ fn lock_deque(m: &Mutex<VecDeque<Morsel>>) -> std::sync::MutexGuard<'_, VecDeque
     ride_poison(m.lock())
 }
 
-/// Splits `units` into order-preserving chunks of at most `size` (the
-/// morsel granularity knob). The common whole-fits case allocates nothing
-/// new.
-fn chunked<T>(units: Vec<T>, size: usize) -> Vec<Vec<T>> {
-    if units.is_empty() {
-        return Vec::new();
-    }
-    if units.len() <= size {
-        return vec![units];
-    }
-    let mut out = Vec::with_capacity(units.len().div_ceil(size));
-    let mut it = units.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(size).collect();
-        if chunk.is_empty() {
-            break;
+/// Everything a morsel body reads during one parallel flush: the flush's
+/// plans with operator references resolved, its merged watermark and the
+/// fault plan. Shared read-only by the pool workers and by the control
+/// thread's inline replay of a deserted flush.
+struct FlushCtx<'a> {
+    /// Round-robin prefixes, indexed by [`ShardUnit::plan`].
+    rr: Vec<ResolvedPrefix<'a>>,
+    /// The keyed plan's nodes in plan order.
+    keyed: Vec<ResolvedKeyedNode<'a>>,
+    /// Per [`KeyedPlan::roots`] entry, the `(plan index, port)` targets.
+    roots: Vec<Vec<(usize, usize)>>,
+    watermark: u64,
+    fault: Option<&'a FaultPlan>,
+}
+
+impl FlushCtx<'_> {
+    /// Runs one morsel. Partial-aggregation members absorb into
+    /// `worker`'s partition — a pool worker passes its own seat, the
+    /// control thread's inline replay (`None`) the morsel's home shard.
+    fn run_morsel(&self, morsel: Morsel, worker: Option<usize>, report: &mut ShardReport) {
+        match morsel {
+            Morsel::Rr(unit) => shard_worker(self, unit, report),
+            Morsel::Keyed { home, unit } => {
+                keyed_worker(
+                    self,
+                    home,
+                    worker.unwrap_or(home),
+                    vec![unit],
+                    false,
+                    report,
+                );
+            }
+            Morsel::Chain { home, units } => {
+                keyed_worker(self, home, worker.unwrap_or(home), units, true, report);
+            }
         }
-        out.push(chunk);
     }
-    out
+
+    /// The commutative scheduler's advance-phase duty of partition `w`:
+    /// closes that partition's windows against the flush's watermark.
+    fn advance_partition(&self, w: usize, report: &mut ShardReport) {
+        keyed_worker(self, w, w, Vec::new(), true, report);
+    }
 }
 
 /// A stream's prefix with operator references resolved for the workers.
@@ -2435,11 +2079,6 @@ struct ShardReport {
     /// Kernel panics caught during this shard's morsels: `(node id, panic
     /// message)`. Resolved into quarantines by the control thread.
     panics: Vec<(u32, String)>,
-    /// Adaptive-mode cost samples: `(controller class, cost_units delta)`
-    /// per executed morsel (empty with the controller off, so the static
-    /// path's reports are byte-identical to before). The class is a
-    /// round-robin plan index or `u32::MAX` for the keyed plan.
-    morsel_costs: Vec<(u32, u64)>,
     /// Whether this worker's advance-phase duty ran (always `true` when
     /// the flush has no second phase). A deserted flush leaves it `false`
     /// on workers that skipped their advance; the control thread makes
@@ -2480,79 +2119,71 @@ struct ResolvedKeyedNode<'a> {
     grouped: bool,
 }
 
-/// The body of the round-robin half of one shard job: runs whole source
-/// batches of keyless streams through their stateless prefixes in source
-/// order. Outputs merge trivially (a source batch lives whole on one
-/// shard), so no survivor tracing is needed.
-fn shard_worker(
-    plans: &[ResolvedPrefix<'_>],
-    units: Vec<ShardUnit>,
-    timing: bool,
-    fault: Option<&FaultPlan>,
-    report: &mut ShardReport,
-) {
-    for unit in units {
-        let plan = &plans[unit.plan];
-        if let Some(ts) = unit.batch.max_ts() {
-            report.max_ts = report.max_ts.max(ts);
-        }
-        let mut slots: Vec<Option<TupleBatch>> = (0..plan.nodes.len()).map(|_| None).collect();
-        // Seed the roots (COW column sharing makes extra roots cheap).
-        let Some((&last_root, other_roots)) = plan.roots.split_last() else {
+/// The body of a round-robin morsel: runs one whole source batch of a
+/// keyless stream through its stateless prefix. Outputs merge trivially (a
+/// source batch lives whole on one shard), so no survivor tracing is
+/// needed.
+fn shard_worker(ctx: &FlushCtx<'_>, unit: ShardUnit, report: &mut ShardReport) {
+    let plan = &ctx.rr[unit.plan];
+    if let Some(ts) = unit.batch.max_ts() {
+        report.max_ts = report.max_ts.max(ts);
+    }
+    let mut slots: Vec<Option<TupleBatch>> = (0..plan.nodes.len()).map(|_| None).collect();
+    // Seed the roots (COW column sharing makes extra roots cheap).
+    let Some((&last_root, other_roots)) = plan.roots.split_last() else {
+        return;
+    };
+    for &r in other_roots {
+        slots[r] = Some(unit.batch.clone());
+    }
+    slots[last_root] = Some(unit.batch);
+    // Ascending position is a topological order (node ids ascend along
+    // edges), so one pass drains the whole prefix.
+    for pos in 0..plan.nodes.len() {
+        let Some(batch) = slots[pos].take() else {
             continue;
         };
-        for &r in other_roots {
-            slots[r] = Some(unit.batch.clone());
+        let node = &plan.nodes[pos];
+        let in_rows = batch.len() as u64;
+        report.rows += in_rows;
+        report.batches += 1;
+        work::count_shard_batches(1);
+        let start = Instant::now();
+        let produced = run_kernel(node.id, &mut report.panics, || {
+            inject(ctx.fault, node.kind, batch.ts());
+            node.op.process_traced(batch, false)
+        });
+        let elapsed = start.elapsed();
+        report.busy += elapsed;
+        let delta = report.node_stats.entry(node.id).or_default();
+        delta.in_rows += in_rows;
+        delta.in_batches += 1;
+        delta.busy += elapsed;
+        // A caught panic drops this invocation's outputs and moves on:
+        // downstream nodes simply see nothing from it, and the node's
+        // owners are quarantined at quiescence.
+        let Some((out, _)) = produced else {
+            continue;
+        };
+        delta.out_rows += out.len() as u64;
+        if out.is_empty() {
+            continue;
         }
-        slots[last_root] = Some(unit.batch);
-        // Ascending position is a topological order (node ids ascend along
-        // edges), so one pass drains the whole prefix.
-        for pos in 0..plan.nodes.len() {
-            let Some(batch) = slots[pos].take() else {
+        if node.record {
+            for &c in &node.internal {
+                slots[c] = Some(out.clone());
+            }
+            report
+                .outputs
+                .push((node.id, vec![unit.batch_idx as u32], out, None));
+        } else {
+            let Some((&last_c, rest_c)) = node.internal.split_last() else {
                 continue;
             };
-            let node = &plan.nodes[pos];
-            let in_rows = batch.len() as u64;
-            report.rows += in_rows;
-            report.batches += 1;
-            work::count_shard_batches(1);
-            let start = timing.then(Instant::now);
-            let produced = run_kernel(node.id, &mut report.panics, || {
-                inject(fault, node.kind, batch.ts());
-                node.op.process_traced(batch, false)
-            });
-            let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
-            report.busy += elapsed;
-            let delta = report.node_stats.entry(node.id).or_default();
-            delta.in_rows += in_rows;
-            delta.in_batches += 1;
-            delta.busy += elapsed;
-            // A caught panic drops this invocation's outputs and moves on:
-            // downstream nodes simply see nothing from it, and the node's
-            // owners are quarantined at quiescence.
-            let Some((out, _)) = produced else {
-                continue;
-            };
-            delta.out_rows += out.len() as u64;
-            if out.is_empty() {
-                continue;
+            for &c in rest_c {
+                slots[c] = Some(out.clone());
             }
-            if node.record {
-                for &c in &node.internal {
-                    slots[c] = Some(out.clone());
-                }
-                report
-                    .outputs
-                    .push((node.id, vec![unit.batch_idx as u32], out, None));
-            } else {
-                let Some((&last_c, rest_c)) = node.internal.split_last() else {
-                    continue;
-                };
-                for &c in rest_c {
-                    slots[c] = Some(out.clone());
-                }
-                slots[last_c] = Some(out);
-            }
+            slots[last_c] = Some(out);
         }
     }
 }
@@ -2609,19 +2240,21 @@ fn entry_child(id: u32, parent: &[u32]) -> Vec<u32> {
 /// commutative scheduler's dedicated advance phase (empty `units`,
 /// `state_shard == partial_shard ==` the worker's own partition, entered
 /// only after every morsel of the flush is absorbed).
-#[allow(clippy::too_many_arguments)]
 fn keyed_worker(
+    ctx: &FlushCtx<'_>,
     state_shard: usize,
     partial_shard: usize,
-    nodes: &[ResolvedKeyedNode<'_>],
-    roots: &[Vec<(usize, usize)>],
     units: Vec<KeyedUnit>,
-    watermark: u64,
-    timing: bool,
     advance: bool,
-    fault: Option<&FaultPlan>,
     report: &mut ShardReport,
 ) {
+    let FlushCtx {
+        keyed: nodes,
+        roots,
+        watermark,
+        fault,
+        ..
+    } = ctx;
     let mut queues: Vec<VecDeque<KeyedEntry>> = (0..nodes.len()).map(|_| VecDeque::new()).collect();
     // Seed root targets in source-batch order (= ingestion order), exactly
     // like the single-threaded flush routes raw stream batches.
@@ -2661,7 +2294,7 @@ fn keyed_worker(
             report.rows += in_rows;
             report.batches += 1;
             work::count_shard_batches(1);
-            let start = timing.then(Instant::now);
+            let start = Instant::now();
             // Produce: either a refined deferred selection (filters), or a
             // materialized output batch with composed tags. The whole
             // production — one logical kernel invocation — runs under its
@@ -2669,7 +2302,7 @@ fn keyed_worker(
             // outputs, and the node's owners are quarantined at
             // quiescence.
             let produced: Option<KeyedEntry> = run_kernel(node.id, &mut report.panics, || {
-                inject(fault, node.kind, entry.batch.ts());
+                inject(*fault, node.kind, entry.batch.ts());
                 match &node.kernel {
                     ResolvedKeyedKernel::Stateless(k) => {
                         match k.refine_selection(&entry.batch, entry.sel.as_deref()) {
@@ -2729,7 +2362,7 @@ fn keyed_worker(
                 }
             })
             .flatten();
-            let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
+            let elapsed = start.elapsed();
             report.busy += elapsed;
             let delta = report.node_stats.entry(node.id).or_default();
             delta.in_rows += in_rows;
@@ -2746,13 +2379,13 @@ fn keyed_worker(
         // morsels — their flush runs a dedicated advance phase instead).
         if advance && node.advance {
             if let ResolvedKeyedKernel::Stateful(k) = &node.kernel {
-                let start = timing.then(Instant::now);
+                let start = Instant::now();
                 let emitted = run_kernel(node.id, &mut report.panics, || {
-                    inject(fault, node.kind, &[]);
-                    k.advance_keyed(state_shard, watermark)
+                    inject(*fault, node.kind, &[]);
+                    k.advance_keyed(state_shard, *watermark)
                 })
                 .flatten();
-                let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
+                let elapsed = start.elapsed();
                 report.busy += elapsed;
                 let delta = report.node_stats.entry(node.id).or_default();
                 delta.busy += elapsed;
@@ -2895,8 +2528,7 @@ fn lock_slot(slot: &WorkerSlot) -> std::sync::MutexGuard<'_, SlotState> {
     ride_poison(slot.state.lock())
 }
 
-fn pool_worker_main(seat: usize, slot: Arc<WorkerSlot>) {
-    pin_worker(seat);
+fn pool_worker_main(slot: Arc<WorkerSlot>) {
     let mut state = lock_slot(&slot);
     loop {
         match std::mem::replace(&mut *state, SlotState::Idle) {
@@ -2941,7 +2573,7 @@ impl WorkerPool {
             let thread_slot = slot.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("cqac-shard-{seat}"))
-                .spawn(move || pool_worker_main(seat, thread_slot))
+                .spawn(move || pool_worker_main(thread_slot))
                 .expect("spawn pool worker");
             self.workers.push(PoolWorker {
                 slot,
@@ -3017,7 +2649,7 @@ impl WorkerPool {
         let thread_slot = w.slot.clone();
         let handle = std::thread::Builder::new()
             .name(format!("cqac-shard-{i}"))
-            .spawn(move || pool_worker_main(i, thread_slot))
+            .spawn(move || pool_worker_main(thread_slot))
             .expect("spawn pool worker");
         w.handle = Some(handle);
     }

@@ -207,11 +207,11 @@
 //!    round-robin into their stateless prefixes. Subscribers outside both
 //!    plans — shard-incompatible operators and sinks — receive raw
 //!    batches at flush time, exactly like the single-threaded engine.
-//! 2. **Morsel-driven execution on the pool.** The flush's work units are
-//!    cut into **morsels** — batch-sized, sequence-tagged work items of at
-//!    most [`engine::DsmsEngine::set_morsel_batches`] units each (a
-//!    *ceiling* once the adaptive controller below is enabled) — and
-//!    dealt onto **per-worker deques**: worker `w`'s deque holds the
+//! 2. **Morsel-driven execution on the pool.** The flush's work units
+//!    become **morsels** — batch-sized, sequence-tagged work items of
+//!    exactly one unit each (one round-robin source batch, or one home
+//!    shard's slice of a keyed source batch; order-sensitive keyed plans
+//!    use the chain morsels below) — dealt onto **per-worker deques**: worker `w`'s deque holds the
 //!    morsels whose rows hash-partitioned to home shard `w` (plus its
 //!    round-robin share). One job per worker runs on a **persistent
 //!    worker pool** (long-lived threads spawn once, park on condvar
@@ -259,8 +259,8 @@
 //! mutations that produce inline outputs, so the scheduler classifies
 //! each keyed plan: when every stateful member **commutes** (exact
 //! aggregates — absorption order cannot change the combined state, and
-//! aggregates emit only at window closes), a home shard's units chunk
-//! into independent morsels and the watermark pass runs as a **second
+//! aggregates emit only at window closes), each of a home shard's units
+//! is an independent morsel and the watermark pass runs as a **second
 //! phase** behind an all-absorbed barrier (worker `w` closes partition
 //! `w`'s windows — per-partition, so the pass needs no locks). Plans with
 //! order-sensitive members (joins, float Sum/Avg aggregates) fall back to
@@ -291,33 +291,6 @@
 //! ([`types::work::WorkSnapshot::chain_morsels`]); the
 //! grouped/ungrouped equivalence properties pin both halves.
 //!
-//! **Adaptive morsel sizing.** With
-//! [`engine::DsmsEngine::set_adaptive_morsels`] on, the configured grain
-//! becomes a ceiling and the engine picks each flush's effective grain
-//! from **execution-cost feedback**: every morsel's cost is measured in
-//! the deterministic [`types::work`] units (never wall clock), workers
-//! report `(class, cost)` samples per flush (class = the round-robin
-//! plan index, or the keyed plan), and the control thread folds each
-//! class's sorted samples into integer Q8 EWMAs of mean cost and spread
-//! (max − min). High spread — skewed per-morsel cost — shrinks the grain
-//! toward 1 so stealing can rebalance; uniform cost grows it back toward
-//! the ceiling to amortize scheduling overhead. The grain for a flush is
-//! computed from *prior* flushes only and unseeded classes vote the
-//! ceiling, so morsel cutting stays a deterministic function of the
-//! input history: the resize trace
-//! ([`types::work::WorkSnapshot::adaptive_resizes`]) is reproducible
-//! run-to-run, outputs stay bit-identical to the static grain, and the
-//! knob off (the default) reproduces the static scheduler exactly —
-//! pinned by the `adaptive_controller_is_deterministic` property.
-//!
-//! **Core pinning (`core_pinning` feature).** An off-by-default cargo
-//! feature makes worker seats topology-aware: each pool worker pins
-//! itself to a core via `sched_setaffinity(2)` (best-effort, Linux only)
-//! and steal victims are swept in **seat-distance order** (±1, ±2, …)
-//! so rebalancing prefers nearby cores. Outputs are merge-order
-//! independent, so the steal order cannot affect results; the portable
-//! default build compiles the whole path out.
-//!
 //! **Determinism argument.** Hash partitioning sends every pair of rows a
 //! keyed stateful operator must combine (equal join keys, equal group
 //! keys) to the same *home* shard, and a morsel's state-partition index
@@ -331,15 +304,15 @@
 //! `(window start, group)` emission comparator therefore reassemble the
 //! exact single-threaded output sequences. Output sequences are hence
 //! **bit-identical to the single-threaded engine regardless of shard
-//! count, morsel size, stealing, or the adaptive controller** — pinned
-//! by the `shard_count_invariance`, `keyed_stateful_shard_invariance`,
+//! count or stealing** — pinned by the `shard_count_invariance`,
+//! `keyed_stateful_shard_invariance`,
 //! `ungrouped_aggregate_partials_match_single_threaded`, and
 //! `grouped_partials_match_single_threaded` properties (stateless,
 //! keyed-stateful, and grouped/ungrouped partial-aggregate plan shapes ×
 //! batch caps 1/7/64/1024 × shard counts 1/2/4/8 × both partition modes
-//! × morsel grains 1/4/16 × stealing on/off × adaptive on/off, strict
-//! sequence equality), a 100-seed concurrency soak, and a skewed-key
-//! soak in `tests/shard_exec.rs`.
+//! × stealing on/off, strict sequence equality; with stealing off the
+//! whole work-counter snapshot must also replay exactly), a 100-seed
+//! concurrency soak, and a skewed-key soak in `tests/shard_exec.rs`.
 //!
 //! Per-worker load is observable ([`engine::DsmsEngine::shard_stats`] —
 //! executing-worker attribution, near-balanced under stealing;
@@ -411,8 +384,8 @@
 //!   keeps serving: kernels are pure functions of per-invocation inputs
 //!   plus per-node state, so a caught invocation cannot corrupt a
 //!   *different* node's state, and surviving-CQ outputs stay bit-identical
-//!   to a fault-free run (pinned per operator kind × shard count × morsel
-//!   grain × stealing in `tests/fault_recovery.rs`). Worker threads
+//!   to a fault-free run (pinned per operator kind × shard count ×
+//!   stealing in `tests/fault_recovery.rs`). Worker threads
 //!   survive kernel panics — `pool_spawns` stays flat — while an injected
 //!   worker *death* is detected at job granularity: the scheduler's
 //!   desertion flag releases the survivors' advance barrier, the control

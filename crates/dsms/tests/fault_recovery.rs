@@ -4,8 +4,8 @@
 //! The contract under test (see the crate docs' *Robustness & failure
 //! semantics* section): an operator panic quarantines exactly the queries
 //! owning the panicked node — every other query's outputs stay
-//! **byte-identical** to a fault-free run, across shard counts, morsel
-//! grains, and work stealing; an injected worker death never loses or
+//! **byte-identical** to a fault-free run, across shard counts and work
+//! stealing; an injected worker death never loses or
 //! duplicates a morsel; overload shedding drops the same rows at every
 //! shard count and never touches the highest-priority stream while lower
 //! ones still have batches to give.
@@ -176,7 +176,6 @@ struct RunOutcome {
 fn run_kind(
     kind: &str,
     shards: usize,
-    grain: usize,
     stealing: bool,
     fault: Option<Arc<FaultPlan>>,
 ) -> RunOutcome {
@@ -185,7 +184,6 @@ fn run_kind(
     e.set_fusion(kind == "fused");
     e.set_shards(shards);
     e.set_max_batch_size(16);
-    e.set_morsel_batches(grain);
     e.set_stealing(stealing);
     e.set_shard_key("quotes", 0).unwrap();
     e.set_shard_key("news", 0).unwrap();
@@ -213,7 +211,7 @@ fn run_kind(
 }
 
 /// The tentpole property: faulting each operator kind in turn, across
-/// shard counts × morsel grains × stealing on/off, quarantines exactly
+/// shard counts × stealing on/off, quarantines exactly
 /// the owning query — the surviving query's outputs are byte-identical to
 /// the fault-free run's and no pool worker is ever replaced (kernel
 /// panics are caught per invocation, they do not kill threads).
@@ -224,15 +222,15 @@ fn each_kind_quarantines_only_its_owner() {
     }
     for kind in OPERATOR_KINDS {
         for shards in shard_counts() {
-            for (grain, stealing) in [(1, false), (4, true)] {
-                let clean = run_kind(kind, shards, grain, stealing, None);
+            for stealing in [false, true] {
+                let clean = run_kind(kind, shards, stealing, None);
                 assert!(
                     clean.quarantined.is_empty() && clean.quarantines == 0,
                     "clean run must not quarantine ({kind}, shards={shards})"
                 );
                 let fault = Arc::new(FaultPlan::new().panic_on(kind, 1));
-                let hurt = run_kind(kind, shards, grain, stealing, Some(fault));
-                let ctx = format!("kind={kind} shards={shards} grain={grain} steal={stealing}");
+                let hurt = run_kind(kind, shards, stealing, Some(fault));
+                let ctx = format!("kind={kind} shards={shards} steal={stealing}");
                 assert_eq!(hurt.quarantined.len(), 1, "one owner quarantined ({ctx})");
                 assert_eq!(hurt.quarantines, 1, "quarantine counted once ({ctx})");
                 assert_eq!(
@@ -292,8 +290,8 @@ fn soak_100_seeds_never_aborts_and_survivors_replay() {
             .expect("seeded plan targets one kind");
         let clean = clean_by_kind
             .entry(kind)
-            .or_insert_with(|| run_kind(kind, 4, 4, true, None));
-        let hurt = run_kind(kind, 4, 4, true, Some(Arc::new(probe)));
+            .or_insert_with(|| run_kind(kind, 4, true, None));
+        let hurt = run_kind(kind, 4, true, Some(Arc::new(probe)));
         assert_eq!(
             hurt.survivor_out, clean.survivor_out,
             "seed {seed}: survivor diverged"
@@ -382,11 +380,11 @@ fn worker_death_recovers_inline_and_respawns_the_seat() {
     if !fault_modes().contains(&"death") {
         return;
     }
-    for (grain, stealing) in [(1, false), (4, true)] {
-        let clean = run_kind("aggregate", 4, grain, stealing, None);
+    for stealing in [false, true] {
+        let clean = run_kind("aggregate", 4, stealing, None);
         let fault = Arc::new(FaultPlan::new().with_worker_death(1, 1));
-        let hurt = run_kind("aggregate", 4, grain, stealing, Some(fault));
-        let ctx = format!("grain={grain} steal={stealing}");
+        let hurt = run_kind("aggregate", 4, stealing, Some(fault));
+        let ctx = format!("steal={stealing}");
         assert!(
             hurt.quarantined.is_empty(),
             "death quarantined a CQ ({ctx})"
@@ -429,7 +427,7 @@ fn respawned_worker_inherits_kernel_kill_switches() {
     let run = |shards: usize, fault: Option<Arc<FaultPlan>>| {
         with_columnar_kernels(false, || {
             with_simd_kernels(false, || {
-                let out = run_kind("fused", shards, 4, true, fault);
+                let out = run_kind("fused", shards, true, fault);
                 let snap = work::snapshot();
                 (out, snap.row_evals, snap.simd_lanes)
             })
@@ -457,7 +455,7 @@ fn respawned_worker_inherits_kernel_kill_switches() {
     // The converse: at the default settings the same faulted run counts
     // SIMD lanes and zero row evals — the re-seed forwards the live
     // switch values, it does not pin a stale 'off'.
-    let on = run_kind("fused", 4, 4, true, death());
+    let on = run_kind("fused", 4, true, death());
     let snap = work::snapshot();
     assert!(on.runtime_report.has_code(Code::WorkerDeath));
     assert!(snap.simd_lanes > 0, "default-on run must count SIMD lanes");

@@ -428,6 +428,49 @@ fn pool_reuse_zero_spawns_after_warmup() {
     );
 }
 
+/// Every round-robin morsel carries exactly one work unit: a keyless
+/// stream feeding a stateless prefix at shards = 4 executes one morsel per
+/// ingested batch, with stealing on and off.
+#[test]
+fn keyless_morsels_carry_one_batch_each() {
+    for stealing in [false, true] {
+        let mut e = engine()
+            .with_max_batch_size(8)
+            .with_shards(4)
+            .with_stealing(stealing);
+        let high =
+            LogicalPlan::source("quotes").filter(Expr::col(1).gt(Expr::lit(Value::Float(100.0))));
+        let cq = e.add_query(high).unwrap();
+        let mut rng = Lcg(31);
+        work::reset();
+        let mut batches = 0u64;
+        for call in 0..10u64 {
+            let rows: Vec<Tuple> = (0..37)
+                .map(|i| {
+                    Tuple::new(
+                        call * 40 + i,
+                        vec![
+                            Value::str(SYMS[rng.below(4) as usize]),
+                            Value::Float(rng.below(200) as f64),
+                        ],
+                    )
+                })
+                .collect();
+            // The batch cap splits each call into ceil(37 / 8) batches.
+            batches += rows.len().div_ceil(8) as u64;
+            e.push_rows("quotes", rows);
+        }
+        e.finish();
+        let snap = work::snapshot();
+        assert_eq!(
+            snap.morsels_executed, batches,
+            "one morsel per ingested batch (stealing {stealing}): {snap:?}"
+        );
+        assert_eq!(snap.chain_morsels, 0, "keyless morsels never chain");
+        assert!(!e.take_outputs(cq).is_empty(), "the filter passes rows");
+    }
+}
+
 /// A zipf-flavored hot-key soak at shards = 4: ~90% of rows carry one
 /// symbol, so hash partitioning floods one home shard. Work stealing must
 /// rebalance execution (stolen morsels observed at fine granularity)
@@ -461,7 +504,6 @@ fn skewed_key_soak_shards4_stays_deterministic() {
         let mut e = engine()
             .with_max_batch_size(8)
             .with_shards(shards)
-            .with_morsel_batches(1)
             .with_stealing(stealing);
         e.set_shard_key("quotes", 0).unwrap();
         e.set_shard_key("news", 0).unwrap();

@@ -10,9 +10,11 @@
 //!
 //! This pass **re-derives the same classification from the logical
 //! plans** — partition-key flow through filters, projections, and fused
-//! chains; join-key and group-key compatibility; exact-combine
-//! eligibility of partial aggregates (ungrouped, or grouped at a
-//! shard-incompatible group key) — and cross-checks the physical
+//! chains; the keyless-stream lineage rule (stateless descendants of a
+//! keyless stream are members, stateful ones never are); join-key and
+//! group-key compatibility; exact-combine eligibility of partial
+//! aggregates (ungrouped, or grouped at a shard-incompatible group key) —
+//! and cross-checks the physical
 //! [`KeyedPlan`] node by node. A divergence means one side's reasoning
 //! is wrong, and the sharded run could silently reorder state mutations:
 //! diagnostic NL020 ([`Code::KeyedClassificationDivergence`]). A
@@ -64,6 +66,9 @@ struct Derived {
     /// Whether this sub-plan's output is produced inside the keyed plan
     /// (so a downstream member may consume it shard-locally).
     covered: bool,
+    /// Whether the sub-plan descends from a keyless stream, whose batches
+    /// land whole on one shard: only stateless members may consume it.
+    keyless: bool,
     /// The partition key's column position in the output, when covered
     /// and the key survived.
     key: Option<usize>,
@@ -282,7 +287,8 @@ fn derive(
     match plan {
         LogicalPlan::Source { stream } => Derived {
             schema: catalog.stream_schema(stream).cloned(),
-            covered: shard_keys.contains_key(stream) && catalog.stream_schema(stream).is_some(),
+            covered: catalog.stream_schema(stream).is_some(),
+            keyless: !shard_keys.contains_key(stream),
             key: shard_keys.get(stream).copied(),
         },
         LogicalPlan::Filter { input, .. } => {
@@ -300,6 +306,7 @@ fn derive(
             Derived {
                 schema: d.schema,
                 covered: d.covered,
+                keyless: d.keyless,
                 key: if d.covered { d.key } else { None },
             }
         }
@@ -324,6 +331,7 @@ fn derive(
             Derived {
                 schema: plan_schema_of(plan, catalog),
                 covered: d.covered,
+                keyless: d.keyless,
                 key: if d.covered { key } else { None },
             }
         }
@@ -358,6 +366,7 @@ fn derive(
             Derived {
                 schema: plan_schema_of(plan, catalog),
                 covered: member,
+                keyless: false,
                 // The left key column keeps its position in the joined
                 // output (left schema ⊕ right schema).
                 key: member.then_some(*left_key),
@@ -371,6 +380,9 @@ fn derive(
             ..
         } => {
             let d = derive(input, catalog, shard_keys, out);
+            // Rows of a keyless stream are placed by no key: an aggregate
+            // over them stays behind the merge barrier, not even partial.
+            let covered = d.covered && !d.keyless;
             let input_type = match (func, &d.schema) {
                 (AggFunc::Count, _) => Some(DataType::Int),
                 (_, Some(s)) => s.fields.get(*column).map(|f| f.data_type),
@@ -385,8 +397,8 @@ fn derive(
                     // the node joins only as a grouped *partial* member —
                     // per-worker hash partials, merge-barrier output —
                     // and only when its combine is exact.
-                    let full = d.covered && d.key == Some(*g);
-                    let partial = d.covered && !full && exact;
+                    let full = covered && d.key == Some(*g);
+                    let partial = covered && !full && exact;
                     let member = full || partial;
                     record(
                         out,
@@ -401,6 +413,7 @@ fn derive(
                     Derived {
                         schema: plan_schema_of(plan, catalog),
                         covered: full,
+                        keyless: false,
                         // Output layout: (window_end, group, value) — the
                         // group key lands at column 1.
                         key: full.then_some(1),
@@ -411,7 +424,7 @@ fn derive(
                     // the node joins the plan only as a *partial* member
                     // — and only when its combine is exact. Its output is
                     // always produced behind the merge barrier.
-                    let member = d.covered && exact;
+                    let member = covered && exact;
                     record(
                         out,
                         Expectation {
@@ -425,6 +438,7 @@ fn derive(
                     Derived {
                         schema: plan_schema_of(plan, catalog),
                         covered: false,
+                        keyless: false,
                         key: None,
                     }
                 }
@@ -448,6 +462,7 @@ fn derive(
             Derived {
                 schema: plan_schema_of(plan, catalog),
                 covered: false,
+                keyless: false,
                 key: None,
             }
         }

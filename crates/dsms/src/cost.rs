@@ -284,6 +284,32 @@ mod tests {
     }
 
     #[test]
+    fn late_arrivals_widen_the_observation_span() {
+        let mut e = DsmsEngine::new();
+        e.register_stream(
+            "quotes",
+            Schema::new(vec![
+                Field::new("symbol", DataType::Str),
+                Field::new("price", DataType::Float),
+            ]),
+        );
+        e.add_query(
+            LogicalPlan::source("quotes").filter(Expr::col(1).gt(Expr::lit(Value::Float(0.0)))),
+        )
+        .unwrap();
+        e.push_batch([
+            ("quotes".to_string(), quote(10, "IBM", 100.0)),
+            ("quotes".to_string(), quote(5, "IBM", 100.0)),
+        ]);
+        let stats = &e.stream_stats()["quotes"];
+        assert_eq!((stats.min_ts, stats.max_ts), (5, 10));
+        let estimates = estimate_node_loads(&e, &CostModel::default());
+        // 2 tuples over the span ts 5..=10 (6 ms); a min_ts stuck at the
+        // first arrival would shrink the span to 1 ms and report 2/ms.
+        assert!((estimates[0].input_rate - 2.0 / 6.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn loads_scale_with_rate_and_unit_cost() {
         let (e, _, _) = calibrated_engine();
         let model = CostModel::default();

@@ -8,10 +8,10 @@
 //! replay-exact runs. The control loop runs on the calling thread,
 //! processes nodes in ascending id order (a topological order — see
 //! `network.rs`), and uses event-time watermarks for all windowing. With a
-//! shard count above 1 ([`DsmsEngine::set_shards`]) the stateless prefixes
-//! and compatibly keyed stateful operators run on a persistent worker
-//! pool first; a deterministic merge keeps every output identical to the
-//! one-shard run.
+//! shard count above 1 ([`DsmsEngine::set_shards`]) the keyed plan —
+//! stateless operators and compatibly keyed stateful operators — runs on
+//! a persistent worker pool first; a deterministic merge keeps every
+//! output identical to the one-shard run.
 //!
 //! ## Batched execution
 //!
@@ -48,7 +48,7 @@
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 use crate::fault::{FaultPlan, WorkerDeath};
-use crate::network::{CqId, KeyedPlan, NodeId, QueryInfo, QueryNetwork, StreamPrefix, Target};
+use crate::network::{CqId, KeyedPlan, NodeId, QueryInfo, QueryNetwork, Target};
 use crate::ops::{KeyedKernel, ShardKernel};
 use crate::plan::StreamCatalog;
 use crate::plan::{LogicalPlan, PlanError};
@@ -169,11 +169,11 @@ pub struct StreamStats {
 /// shard.
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
-    /// Rows this shard's workers fed into prefix operators.
+    /// Rows this shard's workers fed into keyed-plan operators.
     pub rows: u64,
     /// Sub-batches this shard processed.
     pub batches: u64,
-    /// Wall-clock time this shard spent inside prefix operator calls (sums
+    /// Wall-clock time this shard spent inside keyed-plan operator calls (sums
     /// across shards into the same per-node `busy` totals the measured
     /// cost model reads).
     pub busy: Duration,
@@ -187,9 +187,13 @@ impl StreamStats {
     /// Records one ingested tuple's event time (shared by every ingestion
     /// path, so the invariants cannot diverge between them).
     fn note(&mut self, ts: u64) {
-        if self.count == 0 {
-            self.min_ts = ts;
-        }
+        // Out-of-order arrivals are accepted, so a later tuple may carry
+        // the smallest timestamp.
+        self.min_ts = if self.count == 0 {
+            ts
+        } else {
+            self.min_ts.min(ts)
+        };
         self.count += 1;
         self.max_ts = self.max_ts.max(ts);
     }
@@ -235,10 +239,7 @@ pub struct DsmsEngine {
     shard_rr: HashMap<String, usize>,
     /// Per-shard execution statistics (length = shard count).
     shard_stats: Vec<ShardStats>,
-    /// Cached stateless-prefix topologies, invalidated whenever the
-    /// network changes shape.
-    prefix_cache: HashMap<String, Arc<StreamPrefix>>,
-    /// Cached keyed plan (all hash-partitioned streams at once),
+    /// Cached keyed plan (all streams at once),
     /// invalidated whenever the network or the shard keys change.
     keyed_cache: Option<Arc<KeyedPlan>>,
     /// Merged shard outputs awaiting dispatch: `(producer node id,
@@ -300,7 +301,6 @@ impl DsmsEngine {
             shard_keys: HashMap::new(),
             shard_rr: HashMap::new(),
             shard_stats: vec![ShardStats::default()],
-            prefix_cache: HashMap::new(),
             keyed_cache: None,
             merged_pending: VecDeque::new(),
             pool: WorkerPool::default(),
@@ -366,13 +366,14 @@ impl DsmsEngine {
 
     /// Sets the worker-shard count — the knob next to the batch-size and
     /// fusion knobs. `1` (the default) compiles down to the single-threaded
-    /// path; `n > 1` runs each stream's stateless prefix (filters,
-    /// projections, fused chains) — plus, for streams with a shard key
-    /// ([`DsmsEngine::set_shard_key`]), every compatibly keyed join and
-    /// aggregate — as one-unit morsels on `n` pooled worker threads (left
-    /// to the OS scheduler, not pinned to cores), and merges their outputs
-    /// deterministically, so outputs are bit-identical to the
-    /// single-threaded engine regardless of shard count.
+    /// path; `n > 1` runs the keyed plan ([`QueryNetwork::keyed_plan`]) as
+    /// morsels on `n` pooled worker threads (left to the OS scheduler, not
+    /// pinned to cores) and merges their outputs deterministically, so
+    /// outputs are bit-identical to the single-threaded engine regardless
+    /// of shard count. The plan holds every stream's stateless operators
+    /// (filters, projections, fused chains) plus, for streams with a shard
+    /// key ([`DsmsEngine::set_shard_key`]), every compatibly keyed join and
+    /// aggregate.
     ///
     /// Changing the count resets the per-shard statistics
     /// ([`DsmsEngine::shard_stats`], [`StreamStats::shard_rows`]) and the
@@ -503,7 +504,6 @@ impl DsmsEngine {
             validate_shard_key(&schema, &name, column)?;
         }
         self.network.register_stream(name, schema);
-        self.prefix_cache.clear();
         self.keyed_cache = None;
         Ok(())
     }
@@ -529,7 +529,6 @@ impl DsmsEngine {
             self.begin_transition();
         }
         let result = self.network.add_query(plan);
-        self.prefix_cache.clear();
         self.keyed_cache = None;
         if let Ok(cq) = result {
             self.outputs.entry(cq).or_default();
@@ -549,7 +548,6 @@ impl DsmsEngine {
             self.begin_transition();
         }
         let info = self.network.remove_query(cq);
-        self.prefix_cache.clear();
         self.keyed_cache = None;
         self.outputs.remove(&cq);
         if auto {
@@ -820,17 +818,7 @@ impl DsmsEngine {
         self.route(last, shared);
     }
 
-    /// The cached stateless-prefix topology of a stream.
-    fn stream_prefix(&mut self, stream: &str) -> Arc<StreamPrefix> {
-        if let Some(p) = self.prefix_cache.get(stream) {
-            return p.clone();
-        }
-        let p = Arc::new(self.network.stateless_prefix(stream));
-        self.prefix_cache.insert(stream.to_string(), p.clone());
-        p
-    }
-
-    /// The cached keyed plan over every hash-partitioned stream.
+    /// The cached keyed plan over every registered stream.
     fn keyed_plan(&mut self) -> Arc<KeyedPlan> {
         if let Some(p) = &self.keyed_cache {
             return p.clone();
@@ -842,23 +830,23 @@ impl DsmsEngine {
 
     /// The shard-parallel twin of [`DsmsEngine::flush_ingest`]:
     ///
-    /// 1. **Partition.** Streams with a shard key hash-partition row by
-    ///    row (same key, same shard; rows carry their pre-partition index
-    ///    as a sequence tag) into the multi-stream **keyed plan** —
-    ///    stateless prefixes *plus* every compatibly keyed join and
-    ///    aggregate (see [`QueryNetwork::keyed_plan`]). Keyless streams
-    ///    distribute whole batches round-robin into their stateless
-    ///    prefixes. Subscribers outside both plans (shard-incompatible
-    ///    operators, sinks) receive the raw batch at flush time, exactly
-    ///    like the single-threaded path.
+    /// 1. **Partition.** Every stream feeds the multi-stream **keyed
+    ///    plan** — stateless operators *plus* every compatibly keyed join
+    ///    and aggregate (see [`QueryNetwork::keyed_plan`]) — through its
+    ///    root. Streams with a shard key hash-partition row by row (same
+    ///    key, same shard; rows carry their pre-partition index as a
+    ///    sequence tag). Keyless streams place each whole batch on the
+    ///    shard their round-robin cursor picks, tagged in row order.
+    ///    Subscribers outside the plan (shard-incompatible operators,
+    ///    sinks) receive the raw batch at flush time, exactly like the
+    ///    single-threaded path.
     /// 2. **Morsel-driven execution on the pool.** The flush's units are
     ///    cut into [`Morsel`]s on per-worker deques and one job per worker
     ///    runs on the persistent [`WorkerPool`] (threads spawn once, then
     ///    park between flushes): each worker drains its own deque head
     ///    first, then steals from the other deques' tails
     ///    ([`MorselScheduler`]), so skewed key distributions rebalance.
-    ///    Round-robin morsels walk their stateless prefix per unit; keyed
-    ///    morsels run a **mini node loop** — per-node FIFO queues drained
+    ///    Every morsel runs a **mini node loop** — per-node FIFO queues drained
     ///    in ascending node order, stateful operators absorbing into
     ///    their home shard's state partition (ungrouped exact aggregates:
     ///    the executing worker's partial), selection vectors pushed down
@@ -869,15 +857,16 @@ impl DsmsEngine {
     /// 3. **Deterministic merge.** Exit outputs are merged per
     ///    `(producing node, entry path)` — interleaved by sequence tag
     ///    (join fan-out repeats its probe row's tag, preserving shard
-    ///    order) or by window-close [`crate::types::EmitKey`]s, trivially
-    ///    for round-robin — and queued on [`DsmsEngine::merged_pending`]
+    ///    order) or by window-close [`crate::types::EmitKey`]s; a keyless
+    ///    batch lives whole on one shard, so its outputs need no
+    ///    interleave — and queued on [`DsmsEngine::merged_pending`]
     ///    in ascending order; the control loop dispatches each producer's
     ///    batches exactly when its node-loop pass reaches that producer,
     ///    so out-of-plan consumers observe the single-threaded arrival
     ///    order. Everything downstream of the merge is byte-identical to
     ///    the single-threaded engine.
     fn flush_ingest_sharded(&mut self) {
-        type Parts = Vec<(TupleBatch, Option<MergeTags>)>;
+        type Parts = Vec<(TupleBatch, MergeTags)>;
         let shards = self.shards();
         // Shedding runs on the arrival-ordered whole batches, before any
         // partitioning — the shed set cannot depend on the shard count.
@@ -889,88 +878,68 @@ impl DsmsEngine {
         let keyed = self.keyed_plan();
 
         // -- 1. Partition ------------------------------------------------
-        let mut plan_of_stream: HashMap<String, usize> = HashMap::new();
-        let mut rr_plans: Vec<Arc<StreamPrefix>> = Vec::new();
-        let mut rr_units: Vec<Vec<ShardUnit>> = (0..shards).map(|_| Vec::new()).collect();
+        // Keyless units reach stateless members only, so each is its own
+        // morsel right away; keyed units are cut into morsels in 2a.
+        let mut deques: Vec<VecDeque<Morsel>> = (0..shards).map(|_| VecDeque::new()).collect();
         let mut keyed_units: Vec<Vec<KeyedUnit>> = (0..shards).map(|_| Vec::new()).collect();
         for (batch_idx, (stream, batch)) in ingested.into_iter().enumerate() {
             if let Some(ts) = batch.max_ts() {
                 self.advance_watermark_to(ts);
             }
-            if let Some(root_idx) = keyed.root_of(&stream) {
-                // Hash partition into the keyed plan.
-                let root = &keyed.roots[root_idx];
-                if root.targets.is_empty() {
-                    self.route_shared(&root.direct, batch);
-                    continue;
-                }
-                let batch = if root.direct.is_empty() {
-                    batch
-                } else {
-                    // Non-plan subscribers share the batch (COW columns);
-                    // the shard path keeps its own handle.
-                    let copy = batch.clone();
-                    self.route_shared(&root.direct, batch);
-                    copy
-                };
-                let mut idxs: Vec<Vec<u32>> = vec![Vec::new(); shards];
-                // `KeyReader` memoizes the FNV hash per dictionary code, so
-                // a dictionary-encoded key column hashes bytes once per
-                // distinct string, not once per row.
-                let mut reader = crate::ops::KeyReader::new(batch.column(root.key));
-                for i in 0..batch.len() {
-                    idxs[reader.shard(i, shards)].push(i as u32);
-                }
-                for (s, rows) in idxs.into_iter().enumerate() {
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    self.note_shard_rows(&stream, s, rows.len() as u64, shards);
-                    keyed_units[s].push(KeyedUnit {
-                        batch_idx,
-                        root: root_idx,
-                        batch: batch.take(&rows),
-                        seqs: rows,
-                    });
-                }
+            let Some(root_idx) = keyed.root_of(&stream) else {
                 continue;
-            }
-            // Keyless stream: round-robin whole batches through the
-            // stateless prefix.
-            let plan_idx = match plan_of_stream.get(&stream) {
-                Some(&i) => i,
-                None => {
-                    let prefix = self.stream_prefix(&stream);
-                    rr_plans.push(prefix);
-                    plan_of_stream.insert(stream.clone(), rr_plans.len() - 1);
-                    rr_plans.len() - 1
-                }
             };
-            let prefix = rr_plans[plan_idx].clone();
-            if prefix.nodes.is_empty() {
-                // No stateless prefix: route whole, like the
-                // single-threaded flush (`direct` is the full subscriber
-                // list here).
-                self.route_shared(&prefix.direct, batch);
+            let root = &keyed.roots[root_idx];
+            if root.targets.is_empty() {
+                self.route_shared(&root.direct, batch);
                 continue;
             }
-            let batch = if prefix.direct.is_empty() {
+            let batch = if root.direct.is_empty() {
                 batch
             } else {
-                // Non-prefix subscribers share the batch (COW columns).
+                // Non-plan subscribers share the batch (COW columns); the
+                // shard path keeps its own handle.
                 let copy = batch.clone();
-                self.route_shared(&prefix.direct, batch);
+                self.route_shared(&root.direct, batch);
                 copy
             };
-            let cursor = self.shard_rr.entry(stream.clone()).or_insert(0);
-            let s = *cursor % shards;
-            *cursor = (*cursor + 1) % shards;
-            self.note_shard_rows(&stream, s, batch.len() as u64, shards);
-            rr_units[s].push(ShardUnit {
-                batch_idx,
-                plan: plan_idx,
-                batch,
-            });
+            let Some(key) = root.key else {
+                // Keyless stream: the whole batch goes to the shard its
+                // round-robin cursor picks, tagged in row order.
+                let cursor = self.shard_rr.entry(stream.clone()).or_insert(0);
+                let s = *cursor % shards;
+                *cursor = (*cursor + 1) % shards;
+                self.note_shard_rows(&stream, s, batch.len() as u64, shards);
+                let unit = KeyedUnit {
+                    batch_idx,
+                    root: root_idx,
+                    seqs: (0..batch.len() as u32).collect(),
+                    batch,
+                };
+                deques[s].push_back(Morsel::Keyed { home: s, unit });
+                continue;
+            };
+            // Hash partition.
+            let mut idxs: Vec<Vec<u32>> = vec![Vec::new(); shards];
+            // `KeyReader` memoizes the FNV hash per dictionary code, so a
+            // dictionary-encoded key column hashes bytes once per distinct
+            // string, not once per row.
+            let mut reader = crate::ops::KeyReader::new(batch.column(key));
+            for i in 0..batch.len() {
+                idxs[reader.shard(i, shards)].push(i as u32);
+            }
+            for (s, rows) in idxs.into_iter().enumerate() {
+                if rows.is_empty() {
+                    continue;
+                }
+                self.note_shard_rows(&stream, s, rows.len() as u64, shards);
+                keyed_units[s].push(KeyedUnit {
+                    batch_idx,
+                    root: root_idx,
+                    batch: batch.take(&rows),
+                    seqs: rows,
+                });
+            }
         }
         // Per-node watermark-advance flags for the keyed plan: a stateful
         // member closes windows on every shard whenever the merged
@@ -994,7 +963,7 @@ impl DsmsEngine {
             .collect();
         let run_advance = advance.iter().any(|&a| a);
         let have_units =
-            rr_units.iter().any(|u| !u.is_empty()) || keyed_units.iter().any(|u| !u.is_empty());
+            deques.iter().any(|d| !d.is_empty()) || keyed_units.iter().any(|u| !u.is_empty());
         if !have_units && !run_advance {
             return;
         }
@@ -1002,36 +971,7 @@ impl DsmsEngine {
         // -- 2. Parallel execution on the persistent pool ----------------
         let columnar = crate::ops::columnar_kernels_enabled();
         let simd = crate::ops::simd_kernels_enabled();
-        let mut exits: HashMap<u32, Vec<Target>> = HashMap::new();
-        for plan in &rr_plans {
-            for node in &plan.nodes {
-                exits.insert(node.id.0, node.exits.clone());
-            }
-        }
-        for node in &keyed.nodes {
-            exits.insert(node.id.0, node.exits.clone());
-        }
         let network = &self.network;
-        let rr_resolved: Vec<ResolvedPrefix<'_>> = rr_plans
-            .iter()
-            .map(|p| ResolvedPrefix {
-                roots: p.roots.clone(),
-                nodes: p
-                    .nodes
-                    .iter()
-                    .map(|pn| {
-                        let node = network.node(pn.id).expect("live prefix node");
-                        ResolvedNode {
-                            id: pn.id.0,
-                            kind: node.kind,
-                            op: node.op.shard_kernel().expect("prefix nodes are shardable"),
-                            internal: pn.internal.clone(),
-                            record: !pn.exits.is_empty(),
-                        }
-                    })
-                    .collect(),
-            })
-            .collect();
         let keyed_resolved: Vec<ResolvedKeyedNode<'_>> = keyed
             .nodes
             .iter()
@@ -1060,7 +1000,6 @@ impl DsmsEngine {
             })
             .collect();
         let ctx = FlushCtx {
-            rr: rr_resolved,
             keyed: keyed_resolved,
             roots: keyed.roots.iter().map(|r| r.targets.clone()).collect(),
             watermark,
@@ -1068,9 +1007,8 @@ impl DsmsEngine {
         };
 
         // -- 2a. Cut morsels ---------------------------------------------
-        // Every round-robin unit is its own morsel (stateless, whole
-        // batches, path-keyed merge). Keyed units are independent exactly
-        // when every stateful plan member's absorption commutes
+        // Keyed units are independent exactly when every stateful plan
+        // member's absorption commutes
         // ([`crate::ops::Operator::keyed_commutative`]), and are then one
         // morsel each too. Joins and inexact (float) aggregates are
         // order-sensitive, so each home shard's keyed units then run as
@@ -1082,10 +1020,6 @@ impl DsmsEngine {
                     .node(kn.id)
                     .is_some_and(|n| !n.op.keyed_commutative())
         });
-        let mut deques: Vec<VecDeque<Morsel>> = (0..shards).map(|_| VecDeque::new()).collect();
-        for (s, units) in rr_units.into_iter().enumerate() {
-            deques[s].extend(units.into_iter().map(Morsel::Rr));
-        }
         for (s, units) in keyed_units.into_iter().enumerate() {
             if !ordered {
                 deques[s].extend(
@@ -1321,17 +1255,14 @@ impl DsmsEngine {
             let batch = if parts.len() == 1 {
                 parts.pop().expect("one part").0
             } else {
-                TupleBatch::interleave_tagged(
-                    parts
-                        .into_iter()
-                        .map(|(b, t)| (b, t.expect("multi-part merges carry tags")))
-                        .collect(),
-                )
-                .expect("merged parts are non-empty")
+                TupleBatch::interleave_tagged(parts).expect("merged parts are non-empty")
             };
-            let targets = exits.get(&node_id).expect("exit map covers producers");
-            self.merged_pending
-                .push_back((node_id, targets.clone(), batch));
+            let pos = keyed
+                .nodes
+                .binary_search_by_key(&node_id, |kn| kn.id.0)
+                .expect("merged outputs come from plan members");
+            let targets = keyed.nodes[pos].exits.clone();
+            self.merged_pending.push_back((node_id, targets, batch));
         }
     }
 
@@ -1404,10 +1335,10 @@ impl DsmsEngine {
     }
 
     /// Processes every queued batch and propagates the watermark until the
-    /// network is quiescent. With a shard count above 1 the stateless
-    /// prefixes run on worker threads first (see
-    /// [`DsmsEngine::set_shards`]); the merge and everything stateful runs
-    /// on this thread exactly like the single-threaded engine.
+    /// network is quiescent. With a shard count above 1 the keyed plan
+    /// runs on worker threads first (see [`DsmsEngine::set_shards`]); the
+    /// merge and everything outside the plan runs on this thread exactly
+    /// like the single-threaded engine.
     pub fn run_until_quiescent(&mut self) {
         if self.shards() > 1 {
             self.flush_ingest_sharded();
@@ -1847,18 +1778,8 @@ impl DsmsEngine {
     }
 }
 
-/// One unit of round-robin shard work: a whole source batch of a keyless
-/// stream headed into that stream's stateless prefix.
-struct ShardUnit {
-    /// Index of the source batch within the flush (the merge order key).
-    batch_idx: usize,
-    /// Index into the flush's prefix table.
-    plan: usize,
-    batch: TupleBatch,
-}
-
-/// One unit of keyed shard work: the hash-partitioned slice of one source
-/// batch headed into the keyed plan.
+/// One unit of shard work headed into the keyed plan: the hash-partitioned
+/// slice of one source batch, or a keyless stream's whole batch.
 struct KeyedUnit {
     /// Index of the source batch within the flush (the merge order key).
     batch_idx: usize,
@@ -1874,10 +1795,9 @@ struct KeyedUnit {
 /// indices, row tags), so the deterministic merge is independent of which
 /// worker executes it and in what order.
 enum Morsel {
-    /// One round-robin unit headed into its stateless prefix.
-    Rr(ShardUnit),
-    /// One independent keyed unit of the `home` shard — stealable on its
-    /// own because every stateful plan member combines commutatively.
+    /// One independent unit of the `home` shard — stealable on its own
+    /// because it is keyless (it reaches stateless members only) or every
+    /// stateful plan member combines commutatively.
     Keyed { home: usize, unit: KeyedUnit },
     /// One `home` shard's entire keyed workload plus its watermark pass,
     /// run sequentially (order-sensitive plans: joins, float aggregates).
@@ -1991,8 +1911,6 @@ fn lock_deque(m: &Mutex<VecDeque<Morsel>>) -> std::sync::MutexGuard<'_, VecDeque
 /// fault plan. Shared read-only by the pool workers and by the control
 /// thread's inline replay of a deserted flush.
 struct FlushCtx<'a> {
-    /// Round-robin prefixes, indexed by [`ShardUnit::plan`].
-    rr: Vec<ResolvedPrefix<'a>>,
     /// The keyed plan's nodes in plan order.
     keyed: Vec<ResolvedKeyedNode<'a>>,
     /// Per [`KeyedPlan::roots`] entry, the `(plan index, port)` targets.
@@ -2007,7 +1925,6 @@ impl FlushCtx<'_> {
     /// control thread's inline replay (`None`) the morsel's home shard.
     fn run_morsel(&self, morsel: Morsel, worker: Option<usize>, report: &mut ShardReport) {
         match morsel {
-            Morsel::Rr(unit) => shard_worker(self, unit, report),
             Morsel::Keyed { home, unit } => {
                 keyed_worker(
                     self,
@@ -2031,25 +1948,6 @@ impl FlushCtx<'_> {
     }
 }
 
-/// A stream's prefix with operator references resolved for the workers.
-struct ResolvedPrefix<'a> {
-    roots: Vec<usize>,
-    nodes: Vec<ResolvedNode<'a>>,
-}
-
-struct ResolvedNode<'a> {
-    id: u32,
-    /// The node's operator kind (for fault attribution and the harness's
-    /// per-kind triggers).
-    kind: &'static str,
-    op: &'a dyn ShardKernel,
-    /// Downstream consumers inside the prefix (indices into the plan).
-    internal: Vec<usize>,
-    /// Whether the node has exits (its outputs must be reported back for
-    /// the merge).
-    record: bool,
-}
-
 /// Per-node statistic deltas accumulated by one worker.
 #[derive(Default)]
 struct NodeDelta {
@@ -2066,7 +1964,7 @@ struct ShardReport {
     /// The entry path orders a node's outputs exactly as the
     /// single-threaded node loop dispatches them (see [`entry_child`]);
     /// tags order rows *within* one logical output across shards.
-    outputs: Vec<(u32, Vec<u32>, TupleBatch, Option<MergeTags>)>,
+    outputs: Vec<(u32, Vec<u32>, TupleBatch, MergeTags)>,
     node_stats: HashMap<u32, NodeDelta>,
     rows: u64,
     batches: u64,
@@ -2117,75 +2015,6 @@ struct ResolvedKeyedNode<'a> {
     /// [`work::WorkSnapshot::grouped_partial_rows`]. Implies `partial` —
     /// key-compatible grouped aggregates are full members, not partials.
     grouped: bool,
-}
-
-/// The body of a round-robin morsel: runs one whole source batch of a
-/// keyless stream through its stateless prefix. Outputs merge trivially (a
-/// source batch lives whole on one shard), so no survivor tracing is
-/// needed.
-fn shard_worker(ctx: &FlushCtx<'_>, unit: ShardUnit, report: &mut ShardReport) {
-    let plan = &ctx.rr[unit.plan];
-    if let Some(ts) = unit.batch.max_ts() {
-        report.max_ts = report.max_ts.max(ts);
-    }
-    let mut slots: Vec<Option<TupleBatch>> = (0..plan.nodes.len()).map(|_| None).collect();
-    // Seed the roots (COW column sharing makes extra roots cheap).
-    let Some((&last_root, other_roots)) = plan.roots.split_last() else {
-        return;
-    };
-    for &r in other_roots {
-        slots[r] = Some(unit.batch.clone());
-    }
-    slots[last_root] = Some(unit.batch);
-    // Ascending position is a topological order (node ids ascend along
-    // edges), so one pass drains the whole prefix.
-    for pos in 0..plan.nodes.len() {
-        let Some(batch) = slots[pos].take() else {
-            continue;
-        };
-        let node = &plan.nodes[pos];
-        let in_rows = batch.len() as u64;
-        report.rows += in_rows;
-        report.batches += 1;
-        work::count_shard_batches(1);
-        let start = Instant::now();
-        let produced = run_kernel(node.id, &mut report.panics, || {
-            inject(ctx.fault, node.kind, batch.ts());
-            node.op.process_traced(batch, false)
-        });
-        let elapsed = start.elapsed();
-        report.busy += elapsed;
-        let delta = report.node_stats.entry(node.id).or_default();
-        delta.in_rows += in_rows;
-        delta.in_batches += 1;
-        delta.busy += elapsed;
-        // A caught panic drops this invocation's outputs and moves on:
-        // downstream nodes simply see nothing from it, and the node's
-        // owners are quarantined at quiescence.
-        let Some((out, _)) = produced else {
-            continue;
-        };
-        delta.out_rows += out.len() as u64;
-        if out.is_empty() {
-            continue;
-        }
-        if node.record {
-            for &c in &node.internal {
-                slots[c] = Some(out.clone());
-            }
-            report
-                .outputs
-                .push((node.id, vec![unit.batch_idx as u32], out, None));
-        } else {
-            let Some((&last_c, rest_c)) = node.internal.split_last() else {
-                continue;
-            };
-            for &c in rest_c {
-                slots[c] = Some(out.clone());
-            }
-            slots[last_c] = Some(out);
-        }
-    }
 }
 
 /// One pending input of a keyed-plan node inside a shard's mini node loop.
@@ -2315,7 +2144,7 @@ fn keyed_worker(
                             }),
                             None => {
                                 let (batch, tags) = materialize(entry.batch, entry.sel, entry.tags);
-                                let (out, trace) = k.process_traced(batch, true);
+                                let (out, trace) = k.process_traced(batch);
                                 (!out.is_empty()).then(|| {
                                     let tags = match trace {
                                         None => tags,
@@ -2447,7 +2276,7 @@ fn dispatch_keyed(
             });
         }
         let (batch, tags) = materialize(out.batch, out.sel, out.tags);
-        report.outputs.push((node.id, out.key, batch, Some(tags)));
+        report.outputs.push((node.id, out.key, batch, tags));
     } else {
         let Some((&(last_c, last_p), rest)) = node.internal.split_last() else {
             return;

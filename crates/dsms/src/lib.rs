@@ -199,21 +199,30 @@
 //! filters' selection vectors through its per-node queues instead of
 //! densifying at every hop); `n > 1` runs each flush in three phases:
 //!
-//! 1. **Partition.** Streams with a configured **shard key**
-//!    ([`engine::DsmsEngine::set_shard_key`]) hash-partition row by row
-//!    (deterministic FNV-1a, so equal keys always land on the same shard;
-//!    rows carry their pre-partition index as a sequence tag) into the
-//!    **keyed plan**; keyless streams distribute whole batches
-//!    round-robin into their stateless prefixes. Subscribers outside both
-//!    plans — shard-incompatible operators and sinks — receive raw
-//!    batches at flush time, exactly like the single-threaded engine.
+//! 1. **Partition.** Every registered stream feeds one **keyed plan**
+//!    ([`network::QueryNetwork::keyed_plan`]) through its root: every
+//!    stateless operator (filters, projections, fused chains) reachable
+//!    from a stream, *plus every downstream stateful operator keyed
+//!    compatibly with a partition key* — joins whose both sides are
+//!    partitioned by their join keys, aggregates grouping by the key,
+//!    with the key's column position tracked through filters,
+//!    projections, and fused chains. Streams with a configured **shard
+//!    key** ([`engine::DsmsEngine::set_shard_key`]) hash-partition row by
+//!    row (deterministic FNV-1a, so equal keys always land on the same
+//!    shard; rows carry their pre-partition index as a sequence tag).
+//!    Keyless streams place each whole batch on one shard, round-robin,
+//!    so only stateless operators may descend from them inside the plan;
+//!    the joins and aggregates they feed stay outside. Subscribers
+//!    outside the plan — shard-incompatible operators and sinks — receive
+//!    raw batches at flush time, exactly like the single-threaded engine.
 //! 2. **Morsel-driven execution on the pool.** The flush's work units
 //!    become **morsels** — batch-sized, sequence-tagged work items of
-//!    exactly one unit each (one round-robin source batch, or one home
+//!    exactly one unit each (one keyless source batch, or one home
 //!    shard's slice of a keyed source batch; order-sensitive keyed plans
-//!    use the chain morsels below) — dealt onto **per-worker deques**: worker `w`'s deque holds the
-//!    morsels whose rows hash-partitioned to home shard `w` (plus its
-//!    round-robin share). One job per worker runs on a **persistent
+//!    use the chain morsels below for their keyed units) — dealt onto
+//!    **per-worker deques**: worker `w`'s deque holds the morsels whose
+//!    rows hash-partitioned to home shard `w` (plus its round-robin share
+//!    of keyless batches). One job per worker runs on a **persistent
 //!    worker pool** (long-lived threads spawn once, park on condvar
 //!    inboxes, wake per flush — [`types::work::WorkSnapshot::pool_spawns`]
 //!    stays flat after warmup): each worker pops its *own deque's head*
@@ -226,14 +235,8 @@
 //!    [`types::work::WorkSnapshot::morsels_stolen`] /
 //!    [`types::work::WorkSnapshot::steal_misses`]); a worker sweeps the
 //!    victim deques at most once per grab, so the counters also pin that
-//!    nobody spins. Round-robin morsels walk the stream's **stateless
-//!    prefix** ([`network::QueryNetwork::stateless_prefix`]). Keyed
-//!    morsels run the **keyed plan**
-//!    ([`network::QueryNetwork::keyed_plan`]): the stateless prefix *plus
-//!    every downstream stateful operator keyed compatibly with the
-//!    partition key* — joins whose both sides are partitioned by their
-//!    join keys, aggregates grouping by the key, with the key's column
-//!    position tracked through filters, projections, and fused chains.
+//!    nobody spins. Every morsel runs the same mini node loop over the
+//!    plan.
 //!    Stateful members execute through a `&self` kernel
 //!    ([`ops::KeyedKernel`]) against **state partitions** addressed by
 //!    the morsel's *home* shard (equal keys share a home, so a stolen

@@ -133,37 +133,6 @@ pub struct QueryInfo {
     pub schema: Schema,
 }
 
-/// One node of a stream's stateless prefix (see
-/// [`QueryNetwork::stateless_prefix`]).
-#[derive(Clone, Debug)]
-pub struct PrefixNode {
-    /// The physical node.
-    pub id: NodeId,
-    /// Downstream consumers *inside* the prefix, as indices into
-    /// [`StreamPrefix::nodes`].
-    pub internal: Vec<usize>,
-    /// Downstream consumers *outside* the prefix — sinks and stateful
-    /// nodes, in the node's `downstream` order. These are the merge points
-    /// of the sharded executor.
-    pub exits: Vec<Target>,
-}
-
-/// The maximal subgraph of stateless single-input operators reachable from
-/// one stream — the part of the network the shard-per-stream executor can
-/// replicate across worker threads. Stateful operators (joins, aggregates,
-/// unions) and sinks sit at the prefix's exits, where shard outputs are
-/// deterministically merged back into single-threaded row order.
-#[derive(Clone, Debug, Default)]
-pub struct StreamPrefix {
-    /// Prefix nodes in ascending id order (a topological order).
-    pub nodes: Vec<PrefixNode>,
-    /// Indices into `nodes` of the operators fed directly by the stream.
-    pub roots: Vec<usize>,
-    /// Stream subscribers outside the prefix (stateful nodes, sinks):
-    /// routed whole at flush time, exactly like the single-threaded path.
-    pub direct: Vec<Target>,
-}
-
 /// One node of the multi-stream **keyed plan** (see
 /// [`QueryNetwork::keyed_plan`]).
 #[derive(Clone, Debug)]
@@ -195,13 +164,15 @@ pub struct KeyedNode {
     pub exits: Vec<Target>,
 }
 
-/// One hash-partitioned source stream of a keyed plan.
+/// One source stream of a keyed plan.
 #[derive(Clone, Debug)]
 pub struct KeyedRoot {
     /// The stream name.
     pub stream: String,
-    /// The stream's shard-key column.
-    pub key: usize,
+    /// The stream's shard-key column: its batches hash-partition row by
+    /// row. `None` for a keyless stream, whose batches are placed whole on
+    /// one shard, round-robin.
+    pub key: Option<usize>,
     /// Plan members fed directly by the stream, as
     /// `(index into [`KeyedPlan::nodes`], input port)` pairs.
     pub targets: Vec<(usize, usize)>,
@@ -212,13 +183,17 @@ pub struct KeyedRoot {
 }
 
 /// The maximal subgraph the shard executor can run *inside* the worker
-/// shards when streams are hash-partitioned on shard keys: every stateless
-/// single-input operator reachable from a keyed stream, **plus every
-/// downstream stateful operator keyed compatibly with the partition key**
-/// — joins whose both sides are partitioned by their join keys, aggregates
-/// whose group-by column is the partition key (equal keys already share a
-/// shard, so per-shard operator state is exact). Computed across *all*
-/// keyed streams at once, because a join couples two streams' prefixes.
+/// shards: every stateless single-input operator reachable from a
+/// registered stream, **plus every downstream stateful operator keyed
+/// compatibly with a shard key** — joins whose both sides are partitioned
+/// by their join keys, aggregates whose group-by column is the partition
+/// key (equal keys already share a shard, so per-shard operator state is
+/// exact). Computed across *all* streams at once, because a join couples
+/// two streams' subgraphs.
+///
+/// A keyless stream's batches land whole on one shard, so only stateless
+/// operators may descend from it inside the plan; joins and aggregates it
+/// feeds, directly or through stateless members, stay outside.
 ///
 /// The deterministic merge happens at the plan's exits — the first
 /// shard-incompatible node or sink past each member — instead of in front
@@ -228,11 +203,8 @@ pub struct KeyedPlan {
     /// Plan members in ascending id order (a topological order: edges
     /// ascend, and a member's producers are members or roots).
     pub nodes: Vec<KeyedNode>,
-    /// One entry per keyed stream, sorted by stream name.
+    /// One entry per registered stream, sorted by stream name.
     pub roots: Vec<KeyedRoot>,
-    /// Whether any member is stateful — if so, every flush that advances
-    /// the watermark must run a window-close pass on every shard.
-    pub has_stateful: bool,
 }
 
 impl KeyedPlan {
@@ -317,10 +289,9 @@ impl QueryNetwork {
     }
 
     /// Sets the worker-shard count. Shard count 1 compiles down to the
-    /// single-threaded engine path; higher counts run each stream's
-    /// shardable prefix on that many worker threads with a deterministic
-    /// merge at the exits (see [`QueryNetwork::stateless_prefix`] and
-    /// [`QueryNetwork::keyed_plan`]).
+    /// single-threaded engine path; higher counts run the keyed plan on
+    /// that many worker threads with a deterministic merge at its exits
+    /// (see [`QueryNetwork::keyed_plan`]).
     ///
     /// Live stateful operators re-partition their keyed state to match
     /// ([`crate::ops::Operator::set_partitions`]): a key's tuples move
@@ -757,92 +728,6 @@ impl QueryNetwork {
         Ok(id)
     }
 
-    /// Computes the stream's **stateless prefix**: the maximal set of
-    /// shardable nodes (filter / project / fused — single input, no state,
-    /// see [`crate::ops::ShardKernel`]) fed by the stream directly or
-    /// through other prefix nodes. Every stateless node has exactly one
-    /// producer, so prefixes of different streams are disjoint and the
-    /// prefix is closed under "reachable through stateless nodes only".
-    ///
-    /// Nodes are listed in ascending id order — edges always ascend, so
-    /// that is a topological order the shard workers can evaluate in one
-    /// pass.
-    pub fn stateless_prefix(&self, stream: &str) -> StreamPrefix {
-        let subs = self.stream_subscribers(stream);
-        let shardable = |id: NodeId| self.node(id).is_some_and(|n| n.op.shard_kernel().is_some());
-        // Membership first: roots are shardable stream subscribers, then
-        // close over shardable downstream nodes in ascending id order
-        // (a node's producer always has a smaller id, so one pass
-        // suffices).
-        let mut members: Vec<NodeId> = Vec::new();
-        for t in subs {
-            if let Target::Node(id, _) = t {
-                if shardable(*id) && !members.contains(id) {
-                    members.push(*id);
-                }
-            }
-        }
-        members.sort_unstable();
-        let mut i = 0;
-        while i < members.len() {
-            let id = members[i];
-            let downstream = &self.node(id).expect("prefix node is live").downstream;
-            for t in downstream {
-                if let Target::Node(d, _) = t {
-                    if shardable(*d) && !members.contains(d) {
-                        let pos = members.partition_point(|m| m < d);
-                        members.insert(pos, *d);
-                    }
-                }
-            }
-            i += 1;
-        }
-        // Second pass: split each member's downstream into internal edges
-        // and exits.
-        let index_of = |id: NodeId| members.binary_search(&id).ok();
-        let nodes: Vec<PrefixNode> = members
-            .iter()
-            .map(|&id| {
-                let node = self.node(id).expect("prefix node is live");
-                let mut internal = Vec::new();
-                let mut exits = Vec::new();
-                for &t in &node.downstream {
-                    match t {
-                        Target::Node(d, _) if index_of(d).is_some() => {
-                            internal.push(index_of(d).expect("member"));
-                        }
-                        other => exits.push(other),
-                    }
-                }
-                PrefixNode {
-                    id,
-                    internal,
-                    exits,
-                }
-            })
-            .collect();
-        let roots: Vec<usize> = subs
-            .iter()
-            .filter_map(|t| match t {
-                Target::Node(id, _) => index_of(*id),
-                Target::Sink(_) => None,
-            })
-            .collect();
-        let direct: Vec<Target> = subs
-            .iter()
-            .copied()
-            .filter(|t| match t {
-                Target::Node(id, _) => index_of(*id).is_none(),
-                Target::Sink(_) => true,
-            })
-            .collect();
-        StreamPrefix {
-            nodes,
-            roots,
-            direct,
-        }
-    }
-
     /// Computes the multi-stream [`KeyedPlan`] for the given per-stream
     /// shard keys (see the type docs for the membership rule).
     ///
@@ -850,10 +735,10 @@ impl QueryNetwork {
     /// through, projections keep it only where an output column is exactly
     /// the key column, fused chains thread it stage by stage, joins carry
     /// it at the left key's position, aggregates at the group column. A
-    /// node joins the plan only when **every** producer is a keyed stream
-    /// or an in-plan node, and — for stateful nodes — when
-    /// [`crate::ops::Operator::keyed_out`] accepts the producers' key
-    /// positions.
+    /// node joins the plan only when **every** producer is a stream or an
+    /// in-plan node, and — for stateful nodes — when no producer descends
+    /// from a keyless stream and [`crate::ops::Operator::keyed_out`]
+    /// accepts the producers' key positions.
     pub fn keyed_plan(&self, shard_keys: &HashMap<String, usize>) -> KeyedPlan {
         // Upstream view: producers per node, per port. (The network stores
         // downstream edges; invert them once.)
@@ -883,8 +768,11 @@ impl QueryNetwork {
         // Membership + key tracking, ascending id order (producers always
         // have smaller ids, so one pass suffices). `members[id]` holds the
         // member's output key position (`None` = key lost; stateless
-        // members stay shardable either way).
+        // members stay shardable either way). `keyless` holds the members
+        // descending from a keyless stream: their rows are not placed by
+        // any key, so no stateful node may consume them in-plan.
         let mut members: HashMap<NodeId, Option<usize>> = HashMap::new();
+        let mut keyless: HashSet<NodeId> = HashSet::new();
         let mut partials: HashSet<NodeId> = HashSet::new();
         let mut order: Vec<NodeId> = Vec::new();
         for id in self.node_ids() {
@@ -895,32 +783,40 @@ impl QueryNetwork {
             let num_ports = edges.iter().map(|(p, _)| p + 1).max().unwrap_or(0);
             let mut in_keys: Vec<Option<usize>> = vec![None; num_ports];
             let mut all_covered = true;
+            let mut from_keyless = false;
             for (port, src) in edges {
-                let key = match src {
-                    Src::Stream(s) => match shard_keys.get(s) {
-                        Some(&k) => Some(k),
-                        None => {
-                            all_covered = false;
-                            break;
-                        }
-                    },
+                in_keys[*port] = match src {
+                    Src::Stream(s) => {
+                        from_keyless |= !shard_keys.contains_key(s);
+                        shard_keys.get(s).copied()
+                    }
                     Src::Node(p) => match members.get(p) {
-                        Some(&k) => k,
+                        Some(&k) => {
+                            from_keyless |= keyless.contains(p);
+                            k
+                        }
                         None => {
                             all_covered = false;
                             break;
                         }
                     },
                 };
-                in_keys[*port] = key;
             }
             if !all_covered {
                 continue;
             }
             let key_out = node.op.keyed_out(&in_keys);
             let stateless = node.op.shard_kernel().is_some();
-            let keyed_stateful = !stateless && node.op.keyed_kernel().is_some();
-            if stateless || (keyed_stateful && key_out.is_some()) {
+            if stateless {
+                members.insert(id, key_out);
+                if from_keyless {
+                    keyless.insert(id);
+                }
+                order.push(id);
+                continue;
+            }
+            let keyed_stateful = !from_keyless && node.op.keyed_kernel().is_some();
+            if keyed_stateful && key_out.is_some() {
                 members.insert(id, key_out);
                 order.push(id);
             } else if keyed_stateful && node.op.keyed_partial() {
@@ -968,11 +864,10 @@ impl QueryNetwork {
                 }
             })
             .collect();
-        let mut streams: Vec<&String> = shard_keys.keys().collect();
+        let mut streams: Vec<&String> = self.streams.keys().collect();
         streams.sort();
         let roots: Vec<KeyedRoot> = streams
             .into_iter()
-            .filter(|s| self.streams.contains_key(*s))
             .map(|stream| {
                 let subs = self.stream_subscribers(stream);
                 let mut targets = Vec::new();
@@ -987,18 +882,13 @@ impl QueryNetwork {
                 }
                 KeyedRoot {
                     stream: stream.clone(),
-                    key: shard_keys[stream],
+                    key: shard_keys.get(stream).copied(),
                     targets,
                     direct,
                 }
             })
             .collect();
-        let has_stateful = nodes.iter().any(|n| n.stateful);
-        KeyedPlan {
-            nodes,
-            roots,
-            has_stateful,
-        }
+        KeyedPlan { nodes, roots }
     }
 
     /// Collects the node ids a (registered) plan maps to.
@@ -1297,65 +1187,6 @@ mod tests {
         assert!(n.stream_subscribers("quotes").is_empty());
     }
 
-    #[test]
-    fn stateless_prefix_covers_chains_and_stops_at_stateful() {
-        let mut n = network_with_quotes();
-        // Shared filter with its own sink, a fused suffix hanging off it,
-        // an aggregate on the filter, and a source-only query.
-        let q_filter = n.add_query(high_price_filter()).unwrap();
-        let chain = high_price_filter()
-            .filter(Expr::col(0).eq(Expr::lit(Value::str("IBM"))))
-            .project(vec![("price".to_string(), Expr::col(1))]);
-        let q_chain = n.add_query(chain).unwrap();
-        let q_agg = n
-            .add_query(high_price_filter().aggregate(None, AggFunc::Count, 0, 100))
-            .unwrap();
-        let q_raw = n.add_query(LogicalPlan::source("quotes")).unwrap();
-
-        let prefix = n.stateless_prefix("quotes");
-        assert_eq!(prefix.nodes.len(), 2, "shared filter + fused suffix");
-        assert_eq!(prefix.roots, vec![0], "only the filter reads the stream");
-        assert_eq!(
-            prefix.direct,
-            vec![Target::Sink(q_raw)],
-            "the source-only sink routes raw"
-        );
-        let filter = &prefix.nodes[0];
-        assert_eq!(filter.internal, vec![1], "filter feeds the fused suffix");
-        let agg_node = *n
-            .query(q_agg)
-            .unwrap()
-            .nodes
-            .iter()
-            .find(|id| n.node(**id).unwrap().kind == "aggregate")
-            .unwrap();
-        assert_eq!(
-            filter.exits,
-            vec![Target::Sink(q_filter), Target::Node(agg_node, 0)],
-            "exits keep the node's downstream order"
-        );
-        let fused = &prefix.nodes[1];
-        assert!(fused.internal.is_empty());
-        assert_eq!(fused.exits, vec![Target::Sink(q_chain)]);
-    }
-
-    #[test]
-    fn stateless_prefix_is_empty_for_stateful_subscribers() {
-        let mut n = network_with_quotes();
-        n.register_stream(
-            "news",
-            Schema::new(vec![
-                Field::new("symbol", DataType::Str),
-                Field::new("headline", DataType::Str),
-            ]),
-        );
-        n.add_query(LogicalPlan::source("quotes").join(LogicalPlan::source("news"), 0, 0, 100))
-            .unwrap();
-        let prefix = n.stateless_prefix("quotes");
-        assert!(prefix.nodes.is_empty(), "a join is a merge barrier");
-        assert_eq!(prefix.direct.len(), 1, "the join subscribes raw");
-    }
-
     fn keys(pairs: &[(&str, usize)]) -> HashMap<String, usize> {
         pairs.iter().map(|(s, c)| (s.to_string(), *c)).collect()
     }
@@ -1376,7 +1207,7 @@ mod tests {
             3,
             "filter, keyed aggregate, and post-aggregate filter all shard"
         );
-        assert!(plan.has_stateful);
+        assert!(plan.nodes.iter().any(|n| n.stateful));
         let agg = plan
             .nodes
             .iter()
@@ -1391,7 +1222,7 @@ mod tests {
             "the sink is the merge point"
         );
         assert_eq!(plan.roots.len(), 1);
-        assert_eq!(plan.roots[0].key, 0);
+        assert_eq!(plan.roots[0].key, Some(0));
     }
 
     #[test]
@@ -1404,7 +1235,7 @@ mod tests {
             .unwrap();
         let plan = n.keyed_plan(&keys(&[("quotes", 0)]));
         assert_eq!(plan.nodes.len(), 1, "only the filter shards");
-        assert!(!plan.has_stateful);
+        assert!(!plan.nodes.iter().any(|n| n.stateful));
         let filter = &plan.nodes[0];
         assert_eq!(filter.exits.len(), 1, "the aggregate is an exit");
     }
@@ -1421,7 +1252,7 @@ mod tests {
             .unwrap();
         let plan = n.keyed_plan(&keys(&[("quotes", 0)]));
         assert_eq!(plan.nodes.len(), 2, "filter + partial aggregate");
-        assert!(plan.has_stateful);
+        assert!(plan.nodes.iter().any(|n| n.stateful));
         let agg = plan.nodes.last().unwrap();
         assert!(agg.stateful);
         assert!(agg.partial, "ungrouped exact aggregate absorbs as partials");
@@ -1431,6 +1262,11 @@ mod tests {
             !plan.nodes[0].partial,
             "stateless members are never partial"
         );
+
+        // Over a keyless stream the same aggregate stays outside the plan.
+        let keyless = n.keyed_plan(&HashMap::new());
+        assert_eq!(keyless.nodes.len(), 1, "only the filter is a member");
+        assert_eq!(keyless.nodes[0].exits, vec![Target::Node(agg.id, 0)]);
     }
 
     #[test]
@@ -1448,7 +1284,7 @@ mod tests {
         // Both streams keyed on the join keys: the join runs in-shard.
         let plan = n.keyed_plan(&keys(&[("quotes", 0), ("news", 0)]));
         assert_eq!(plan.nodes.len(), 2, "filter + join");
-        assert!(plan.has_stateful);
+        assert!(plan.nodes.iter().any(|n| n.stateful));
         let join_node = plan.nodes.last().unwrap();
         assert!(join_node.stateful);
         assert_eq!(join_node.exits, vec![Target::Sink(q)]);
@@ -1458,10 +1294,15 @@ mod tests {
         assert_eq!(news_root.targets.len(), 1);
         assert_eq!(news_root.targets[0].1, 1, "news feeds the right port");
 
-        // With only one stream keyed, the join is a barrier again.
+        // With only one stream keyed, the join is a barrier again: keyless
+        // news still roots the plan, but the join subscribes raw.
         let half = n.keyed_plan(&keys(&[("quotes", 0)]));
         assert_eq!(half.nodes.len(), 1, "just the quotes filter");
-        assert!(!half.has_stateful);
+        assert!(!half.nodes.iter().any(|n| n.stateful));
+        let news_root = &half.roots[half.root_of("news").unwrap()];
+        assert_eq!(news_root.key, None);
+        assert!(news_root.targets.is_empty());
+        assert_eq!(news_root.direct.len(), 1, "the join subscribes raw");
     }
 
     #[test]
@@ -1480,7 +1321,7 @@ mod tests {
         .unwrap();
         let plan = n.keyed_plan(&keys(&[("quotes", 0)]));
         assert!(
-            plan.has_stateful,
+            plan.nodes.iter().any(|n| n.stateful),
             "key tracked to column 1 through the project"
         );
 
@@ -1503,7 +1344,10 @@ mod tests {
         )
         .unwrap();
         let plan2 = n2.keyed_plan(&keys(&[("trades", 0)]));
-        assert!(plan2.has_stateful, "exact grouped aggregate re-enters");
+        assert!(
+            plan2.nodes.iter().any(|n| n.stateful),
+            "exact grouped aggregate re-enters"
+        );
         let agg2 = plan2.nodes.last().unwrap();
         assert!(agg2.partial, "…as a grouped partial member");
         assert!(agg2.internal.is_empty());
@@ -1524,7 +1368,7 @@ mod tests {
             .unwrap();
         let plan2b = n2b.keyed_plan(&keys(&[("ticks", 0)]));
         assert!(
-            !plan2b.has_stateful,
+            !plan2b.nodes.iter().any(|n| n.stateful),
             "inexact grouped aggregate keeps the merge barrier"
         );
 
@@ -1538,19 +1382,65 @@ mod tests {
         )
         .unwrap();
         let plan3 = n3.keyed_plan(&keys(&[("quotes", 0)]));
-        assert!(plan3.has_stateful, "partial members survive key loss");
+        assert!(
+            plan3.nodes.iter().any(|n| n.stateful),
+            "partial members survive key loss"
+        );
         assert!(plan3.nodes.last().unwrap().partial);
     }
 
     #[test]
-    fn keyed_plan_is_empty_without_shard_keys() {
+    fn keyed_plan_without_shard_keys_holds_only_stateless_members() {
         let mut n = network_with_quotes();
-        n.add_query(high_price_filter().aggregate(Some(0), AggFunc::Count, 0, 100))
+        // Shared filter with its own sink, a fused suffix hanging off it,
+        // a grouped aggregate on the filter, and a source-only query.
+        let q_filter = n.add_query(high_price_filter()).unwrap();
+        let chain = high_price_filter()
+            .filter(Expr::col(0).eq(Expr::lit(Value::str("IBM"))))
+            .project(vec![("price".to_string(), Expr::col(1))]);
+        let q_chain = n.add_query(chain).unwrap();
+        let q_agg = n
+            .add_query(high_price_filter().aggregate(Some(0), AggFunc::Count, 0, 100))
             .unwrap();
+        let q_raw = n.add_query(LogicalPlan::source("quotes")).unwrap();
+
         let plan = n.keyed_plan(&HashMap::new());
-        assert!(plan.nodes.is_empty());
-        assert!(plan.roots.is_empty());
-        assert!(!plan.has_stateful);
+        assert_eq!(plan.nodes.len(), 2, "shared filter + fused suffix");
+        assert!(plan.nodes.iter().all(|kn| !kn.stateful && !kn.partial));
+        assert_eq!(plan.roots.len(), 1);
+        let root = &plan.roots[0];
+        assert_eq!(root.key, None, "a stream without a shard key is keyless");
+        assert_eq!(
+            root.targets,
+            vec![(0, 0)],
+            "only the filter reads the stream"
+        );
+        assert_eq!(
+            root.direct,
+            vec![Target::Sink(q_raw)],
+            "the source-only sink routes raw"
+        );
+        let filter = &plan.nodes[0];
+        assert_eq!(
+            filter.internal,
+            vec![(1, 0)],
+            "filter feeds the fused suffix"
+        );
+        let agg_node = *n
+            .query(q_agg)
+            .unwrap()
+            .nodes
+            .iter()
+            .find(|id| n.node(**id).unwrap().kind == "aggregate")
+            .unwrap();
+        assert_eq!(
+            filter.exits,
+            vec![Target::Sink(q_filter), Target::Node(agg_node, 0)],
+            "exits keep the node's downstream order; the aggregate stays outside"
+        );
+        let fused = &plan.nodes[1];
+        assert!(fused.internal.is_empty());
+        assert_eq!(fused.exits, vec![Target::Sink(q_chain)]);
     }
 
     #[test]

@@ -34,8 +34,9 @@ const LANES: usize = 8;
 
 thread_local! {
     /// Whether stateless operators use the columnar kernels (default) or
-    /// the per-row fallback. Thread-local because the engine is
-    /// single-threaded by design and parallel tests must not interfere.
+    /// the per-row fallback. Thread-local so parallel tests do not
+    /// interfere; the engine's worker pool re-seeds both switches from the
+    /// control thread at the start of every job.
     static COLUMNAR: Cell<bool> = const { Cell::new(true) };
 
     /// Whether the columnar kernels run their unrolled fixed-width lane
@@ -430,14 +431,12 @@ pub type RowTrace = Option<Vec<u32>>;
 /// reports which input rows survived, so the engine can merge shard
 /// outputs back into the exact row order a single-threaded run produces.
 pub trait ShardKernel: Send + Sync {
-    /// Processes one owned batch, returning the output batch and — when
-    /// `traced` — its [`RowTrace`]. Untraced calls (round-robin shard
-    /// units, whose source batch lives whole on one shard and merges
-    /// without tags) skip the survivor bookkeeping and return `None`.
-    /// Semantics equal [`Operator::process_batch`] on the same batch,
-    /// including honoring the calling thread's columnar-kernel switch
-    /// ([`set_columnar_kernels`]).
-    fn process_traced(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace);
+    /// Processes one owned batch, returning the output batch and its
+    /// [`RowTrace`], which the shard executor uses to carry merge tags
+    /// through the operator. Semantics equal [`Operator::process_batch`]
+    /// on the same batch, including honoring the calling thread's
+    /// columnar-kernel switch ([`set_columnar_kernels`]).
+    fn process_traced(&self, batch: TupleBatch) -> (TupleBatch, RowTrace);
 
     /// Selection-vector pushdown: refines `sel` (batch-row indices; `None`
     /// = all rows) over `batch` **without materializing survivors**, for
@@ -610,8 +609,8 @@ impl Operator for FilterOp {
 }
 
 impl ShardKernel for FilterOp {
-    fn process_traced(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
-        self.apply(batch, traced)
+    fn process_traced(&self, batch: TupleBatch) -> (TupleBatch, RowTrace) {
+        self.apply(batch, true)
     }
 
     fn refine_selection(&self, batch: &TupleBatch, sel: Option<&[u32]>) -> Option<Vec<u32>> {
@@ -696,8 +695,8 @@ impl Operator for ProjectOp {
 }
 
 impl ShardKernel for ProjectOp {
-    fn process_traced(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
-        self.apply(batch, traced)
+    fn process_traced(&self, batch: TupleBatch) -> (TupleBatch, RowTrace) {
+        self.apply(batch, true)
     }
 }
 
@@ -974,8 +973,8 @@ impl Operator for FusedOp {
 }
 
 impl ShardKernel for FusedOp {
-    fn process_traced(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
-        self.apply(batch, traced)
+    fn process_traced(&self, batch: TupleBatch) -> (TupleBatch, RowTrace) {
+        self.apply(batch, true)
     }
 
     fn refine_selection(&self, batch: &TupleBatch, sel: Option<&[u32]>) -> Option<Vec<u32>> {

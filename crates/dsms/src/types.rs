@@ -994,61 +994,15 @@ impl TupleBatch {
         self.ts.iter().copied().max()
     }
 
-    /// Merges shard outputs back into one batch ordered by their sequence
-    /// tags — the deterministic merge of the shard-per-stream executor.
-    ///
-    /// Each part is an output batch plus, aligned with its rows, the
-    /// original (strictly increasing within a part) row sequence numbers
-    /// the rows carried before hash partitioning. The merged batch holds
-    /// every row of every part, ordered by sequence tag — i.e. the exact
-    /// row order a single-threaded run would have produced. The merge is
-    /// columnar (no row materialization); rows crossing a shard boundary
-    /// are counted by [`work::WorkSnapshot::shard_merge_rows`].
-    ///
-    /// Returns `None` when every part is empty.
-    ///
-    /// # Panics
-    /// Debug builds panic when parts disagree on schema types, when a
-    /// part's tags are not aligned with its rows, or when tags collide.
-    pub fn interleave(parts: Vec<(TupleBatch, Vec<u32>)>) -> Option<TupleBatch> {
-        debug_assert!(
-            parts.iter().all(|(b, s)| b.len() == s.len()),
-            "sequence tags must align with part rows"
-        );
-        let mut parts: Vec<(TupleBatch, Vec<u32>)> =
-            parts.into_iter().filter(|(b, _)| !b.is_empty()).collect();
-        if parts.len() <= 1 {
-            return parts.pop().map(|(b, _)| b);
-        }
-        let total: usize = parts.iter().map(|(b, _)| b.len()).sum();
-        // The global order: every (tag, part, row) triple sorted by tag.
-        // Tags are unique (each names one pre-partition row), so the order
-        // is total and shard-count independent.
-        let mut order: Vec<(u32, u32, u32)> = Vec::with_capacity(total);
-        for (p, (_, seqs)) in parts.iter().enumerate() {
-            debug_assert!(
-                seqs.windows(2).all(|w| w[0] < w[1]),
-                "per-part sequence tags must be strictly increasing"
-            );
-            order.extend(
-                seqs.iter()
-                    .enumerate()
-                    .map(|(i, &s)| (s, p as u32, i as u32)),
-            );
-        }
-        order.sort_unstable();
-        debug_assert!(
-            order.windows(2).all(|w| w[0].0 != w[1].0),
-            "sequence tags must be unique across parts"
-        );
-        let order: Vec<(u32, u32)> = order.into_iter().map(|(_, p, i)| (p, i)).collect();
-        let batches: Vec<TupleBatch> = parts.into_iter().map(|(b, _)| b).collect();
-        Some(Self::gather_parts(&batches, &order))
-    }
-
-    /// Merges shard outputs whose per-row merge tags may repeat *within* a
-    /// part — the generalization [`TupleBatch::interleave`] needs once the
-    /// merge barrier moves past keyed stateful operators:
+    /// Merges shard outputs back into one batch ordered by their merge
+    /// tags — the deterministic merge of the shard executor. Each part is
+    /// an output batch plus, aligned with its rows, its [`MergeTags`]:
+    /// either the pre-partition row indices its rows descend from
+    /// ([`MergeTags::Rows`]) or window-close keys ([`MergeTags::Emits`]).
+    /// The merge is columnar (no row materialization); rows crossing a
+    /// shard boundary are counted by
+    /// [`work::WorkSnapshot::shard_merge_rows`]. Tags may repeat *within*
+    /// a part:
     ///
     /// * a **join** emits one output row per (probe row, partner) pair, so
     ///   several output rows of one shard share the probe row's sequence
@@ -1387,8 +1341,8 @@ pub mod work {
         /// engine runs single-threaded).
         shard_batches => count_shard_batches(n);
         /// Rows gathered by the deterministic cross-shard merge
-        /// ([`super::TupleBatch::interleave`]) — 0 for round-robin batch
-        /// sharding, where every source batch stays whole on one shard.
+        /// ([`super::TupleBatch::interleave_tagged`]) — 0 for keyless
+        /// streams, where every source batch stays whole on one shard.
         shard_merge_rows => count_shard_merge_rows(n);
         /// Rows absorbed by keyed **stateful** operators (joins,
         /// aggregates) *inside* shard workers — the work the merge barrier
@@ -1612,7 +1566,7 @@ mod tests {
     }
 
     #[test]
-    fn interleave_restores_sequence_order_without_row_work() {
+    fn interleave_tagged_restores_sequence_order_without_row_work() {
         // Split a batch's rows by parity (a 2-shard hash partition) and
         // re-merge: the result must be the original batch, produced
         // columnar (no row materialization).
@@ -1620,11 +1574,11 @@ mod tests {
         let even: Vec<u32> = vec![0, 2, 4];
         let odd: Vec<u32> = vec![1, 3, 5];
         let parts = vec![
-            (batch.take(&even), even.clone()),
-            (batch.take(&odd), odd.clone()),
+            (batch.take(&even), MergeTags::Rows(even.clone())),
+            (batch.take(&odd), MergeTags::Rows(odd)),
         ];
         work::reset();
-        let merged = TupleBatch::interleave(parts).unwrap();
+        let merged = TupleBatch::interleave_tagged(parts).unwrap();
         assert_eq!(merged.ts(), batch.ts());
         assert_eq!(merged.columns(), batch.columns());
         let snap = work::snapshot();
@@ -1632,10 +1586,16 @@ mod tests {
         assert_eq!(snap.shard_merge_rows, 6);
         // A single non-empty part passes through untouched and uncounted.
         work::reset();
-        let single = TupleBatch::interleave(vec![(batch.take(&even), even)]).unwrap();
+        let single =
+            TupleBatch::interleave_tagged(vec![(batch.take(&even), MergeTags::Rows(even))])
+                .unwrap();
         assert_eq!(single.len(), 3);
         assert_eq!(work::snapshot().shard_merge_rows, 0);
-        assert!(TupleBatch::interleave(vec![(batch.take(&[]), Vec::new())]).is_none());
+        assert!(TupleBatch::interleave_tagged(vec![(
+            batch.take(&[]),
+            MergeTags::Rows(Vec::new())
+        )])
+        .is_none());
     }
 
     #[test]
@@ -1860,10 +1820,10 @@ mod tests {
         let even: Vec<u32> = vec![0, 2, 4];
         let odd: Vec<u32> = vec![1, 3, 5];
         let parts = vec![
-            (batch.take(&even), even.clone()),
-            (batch.take(&odd), odd.clone()),
+            (batch.take(&even), MergeTags::Rows(even)),
+            (batch.take(&odd), MergeTags::Rows(odd)),
         ];
-        let merged = TupleBatch::interleave(parts).unwrap();
+        let merged = TupleBatch::interleave_tagged(parts).unwrap();
         assert_eq!(merged.ts(), batch.ts());
         assert_eq!(merged.columns(), batch.columns());
         assert!(
@@ -1880,7 +1840,11 @@ mod tests {
             batch.schema().clone(),
             vec![Tuple::new(1, vec![Value::str("BBB"), Value::Float(1.0)])],
         );
-        let merged = TupleBatch::interleave(vec![(a, vec![0]), (b, vec![1])]).unwrap();
+        let merged = TupleBatch::interleave_tagged(vec![
+            (a, MergeTags::Rows(vec![0])),
+            (b, MergeTags::Rows(vec![1])),
+        ])
+        .unwrap();
         assert_eq!(merged.row(0).values[0], Value::str("AAA"));
         assert_eq!(merged.row(1).values[0], Value::str("BBB"));
     }

@@ -471,6 +471,55 @@ fn keyless_morsels_carry_one_batch_each() {
     }
 }
 
+/// Keyless units stay one-unit morsels beside chain morsels: quotes keyed
+/// on symbol feed a float `Avg` grouped by symbol (order-sensitive, so the
+/// keyed units chain per home shard), while keyless news feeds a filter.
+/// Every executed morsel is either a chain or one news batch, and the
+/// outputs match the single-threaded run, with stealing on and off.
+#[test]
+fn keyless_units_never_chain() {
+    let run = |shards: usize, stealing: bool| {
+        let mut e = engine()
+            .with_max_batch_size(8)
+            .with_shards(shards)
+            .with_stealing(stealing);
+        e.set_shard_key("quotes", 0).unwrap();
+        let cqs = [
+            LogicalPlan::source("quotes").aggregate(Some(0), AggFunc::Avg, 1, 50),
+            LogicalPlan::source("news").filter(Expr::col(0).eq(Expr::lit(Value::str("IBM")))),
+        ]
+        .map(|p| e.add_query(p).unwrap());
+        let mut rng = Lcg(37);
+        work::reset();
+        for call in 0..10u64 {
+            let mut row = |i: u64, v: Value| {
+                let sym = Value::str(SYMS[rng.below(4) as usize]);
+                Tuple::new(call * 40 + i, vec![sym, v])
+            };
+            let quotes: Vec<Tuple> = (0..20).map(|i| row(i, Value::Float(i as f64))).collect();
+            // 13 headlines at batch cap 8: two news batches per call.
+            let news: Vec<Tuple> = (20..33).map(|i| row(i, Value::str("h"))).collect();
+            e.push_rows("quotes", quotes);
+            e.push_rows("news", news);
+        }
+        e.finish();
+        let snap = work::snapshot();
+        (cqs.map(|cq| e.take_outputs(cq)), snap)
+    };
+    let (reference, _) = run(1, false);
+    assert!(reference.iter().all(|out| !out.is_empty()));
+    for stealing in [false, true] {
+        let (outputs, snap) = run(4, stealing);
+        assert!(snap.chain_morsels > 0, "the float Avg chains: {snap:?}");
+        assert_eq!(
+            snap.morsels_executed,
+            snap.chain_morsels + 20,
+            "one morsel per news batch beside the chains (stealing {stealing}): {snap:?}"
+        );
+        assert_eq!(outputs, reference, "stealing {stealing}");
+    }
+}
+
 /// A zipf-flavored hot-key soak at shards = 4: ~90% of rows carry one
 /// symbol, so hash partitioning floods one home shard. Work stealing must
 /// rebalance execution (stolen morsels observed at fine granularity)

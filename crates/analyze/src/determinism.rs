@@ -1,12 +1,11 @@
 //! Pass 2: the determinism audit.
 //!
-//! The morsel scheduler's correctness argument (see `cqac-dsms`'s module
+//! The parallel executor's correctness argument (see `cqac-dsms`'s module
 //! docs) rests on a classification the network computes physically, by
-//! asking each operator for its `keyed_out` / `keyed_commutative` /
-//! `keyed_partial` properties: which nodes may run *inside* the worker
-//! shards against partitioned state, which must stay behind the
-//! deterministic merge barrier, and which stateful members are order-free
-//! (commutative absorption) versus order-sensitive (chain morsels).
+//! asking each operator for its `keyed_out` / `keyed_partial` properties:
+//! which nodes may run *inside* the worker shards against partitioned
+//! state, which must stay behind the deterministic merge barrier, and
+//! which stateful members fold exact per-shard partials.
 //!
 //! This pass **re-derives the same classification from the logical
 //! plans** — partition-key flow through filters, projections, and fused
@@ -17,13 +16,12 @@
 //! and cross-checks the physical
 //! [`KeyedPlan`] node by node. A divergence means one side's reasoning
 //! is wrong, and the sharded run could silently reorder state mutations:
-//! diagnostic NL020 ([`Code::KeyedClassificationDivergence`]). A
-//! stateful member whose claimed commutativity contradicts the logical
-//! derivation, a partial member with in-plan consumers, or a partial
-//! member whose logical combine is order-sensitive (inexact — per-worker
-//! partials would merge in a worker-dependent order) would let the
-//! scheduler steal morsels across an order-sensitive operator:
-//! diagnostic NL021 ([`Code::StatefulOrderUnsafe`]).
+//! diagnostic NL020 ([`Code::KeyedClassificationDivergence`]). A partial
+//! member with in-plan consumers, a partial member whose logical combine
+//! is order-sensitive (inexact — per-shard partials would pick up
+//! partition-dependent rounding), or a stateful node fed pre-merge input
+//! without being a keyed member is diagnostic NL021
+//! ([`Code::StatefulOrderUnsafe`]).
 //!
 //! Shard keys themselves are validated first (NL014, [`Code::BadShardKey`])
 //! — an invalid key would otherwise reach `ops::shard_of_cell`'s
@@ -47,9 +45,6 @@ struct Expectation {
     /// A partial-aggregation member (per-worker partials, merge-barrier
     /// output)?
     partial: bool,
-    /// For stateful operators: is absorption order-free (commutative)?
-    /// `None` for stateless nodes, where the question does not arise.
-    commutative: Option<bool>,
     /// The logical exact-combine derivation, recorded for every operator
     /// that *could* hold partitioned state — member or not — so a
     /// physical partial can be checked for order sensitivity even when
@@ -201,25 +196,6 @@ pub fn audit(network: &QueryNetwork, shard_keys: &HashMap<String, usize>) -> Rep
                 ));
             }
         }
-        // Order safety of stateful operators: the physical commutativity
-        // claim (which decides whether the scheduler may split a home
-        // shard's work into independently stealable morsels) must match
-        // the logical exact-combine derivation.
-        if let Some(expected_commutative) = expect.commutative {
-            let claimed = node.op.keyed_commutative();
-            if claimed != expected_commutative {
-                report.push(Diagnostic::new(
-                    Code::StatefulOrderUnsafe,
-                    Span::Node(id.0),
-                    format!(
-                        "n{} ({}): operator claims keyed_commutative={claimed} but the \
-                         logical derivation proves {expected_commutative} — an \
-                         order-sensitive absorption could be reordered by work stealing",
-                        id.0, node.kind
-                    ),
-                ));
-            }
-        }
     }
 
     verify_barrier_coverage(network, &keyed, &mut report);
@@ -299,7 +275,6 @@ fn derive(
                     member: d.covered,
                     stateful: false,
                     partial: false,
-                    commutative: None,
                     exact: None,
                 },
             );
@@ -324,7 +299,6 @@ fn derive(
                     member: d.covered,
                     stateful: false,
                     partial: false,
-                    commutative: None,
                     exact: None,
                 },
             );
@@ -357,9 +331,8 @@ fn derive(
                     stateful: member,
                     partial: false,
                     // Symmetric-hash-join absorption produces inline
-                    // probe outputs whose order is observable: never
-                    // order-free.
-                    commutative: member.then_some(false),
+                    // probe outputs whose order is observable: never an
+                    // exact partial.
                     exact: Some(false),
                 },
             );
@@ -406,7 +379,6 @@ fn derive(
                             member,
                             stateful: member,
                             partial,
-                            commutative: member.then_some(exact),
                             exact: Some(exact),
                         },
                     );
@@ -431,7 +403,6 @@ fn derive(
                             member,
                             stateful: member,
                             partial: member,
-                            commutative: member.then_some(exact),
                             exact: Some(exact),
                         },
                     );
@@ -455,7 +426,6 @@ fn derive(
                     member: false,
                     stateful: false,
                     partial: false,
-                    commutative: None,
                     exact: None,
                 },
             );

@@ -22,12 +22,12 @@
 //! 2. **Determinism audit** ([`determinism::audit`]) — independently
 //!    re-derives the keyed-plan classification from the *logical* plans
 //!    (partition-key flow through filters/projects/fused chains,
-//!    join/group key compatibility, commutativity of stateful members,
-//!    partial-aggregate eligibility) and cross-checks the network's
-//!    physical [`cqac_dsms::network::KeyedPlan`], so the morsel
-//!    scheduler's preconditions are *verified*, not assumed: every
-//!    stateful node is either behind the deterministic merge barrier or
-//!    proven order-free.
+//!    join/group key compatibility, exact-combine eligibility of partial
+//!    aggregates) and cross-checks the network's physical
+//!    [`cqac_dsms::network::KeyedPlan`], so the parallel executor's
+//!    preconditions are *verified*, not assumed: every stateful node is
+//!    either behind the deterministic merge barrier, a keyed member whose
+//!    state partitions by its input's key, or an exact partial.
 //! 3. **Cost-attribution conservation** ([`conservation::check`]) — the
 //!    auction's pricing identity, checked in exact integer micro-units:
 //!    per-CQ analytic costs across shared nodes sum to the per-node
@@ -55,7 +55,7 @@
 //! | NL013 | error    | aggregated column is not numeric |
 //! | NL014 | error    | invalid shard key — guards `ops::shard_of_cell`'s `debug_assert` |
 //! | NL020 | error    | keyed-plan classification divergence (logical vs physical) |
-//! | NL021 | error    | stateful node neither behind a merge barrier nor proven order-free |
+//! | NL021 | error    | stateful node fed pre-merge input without keyed membership, or an order-sensitive partial |
 //! | NL030 | error    | per-CQ cost attribution does not sum to per-node totals |
 //! | NL031 | error    | node refcounts drift from query attribution lists |
 //! | NL040 | warning  | node duplicates the interior of a fused chain (shared-prefix gap) |
@@ -63,7 +63,7 @@
 //! | NL042 | error    | query sink not wired to its producer |
 //! | NL060 | error    | operator kernel panicked at runtime (the quarantine root cause) |
 //! | NL061 | error    | query quarantined — it owned a panicked operator |
-//! | NL062 | error    | pool worker died mid-flush; morsels replayed inline, seat respawned |
+//! | NL062 | error    | pool worker died mid-flush; its walk replayed inline, seat respawned |
 //! | NL063 | warning  | overload shedding dropped ingest rows from a stream |
 //!
 //! `netlint` (this crate's binary) runs every pass over the shipped

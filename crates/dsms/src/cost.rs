@@ -127,11 +127,11 @@ pub struct NodeLoadEstimate {
 /// what the control thread alone can serve. The serial fraction has been
 /// shrinking release over release — keyed stateful sharding moved
 /// compatible joins/aggregates onto the workers, partial aggregation
-/// moved exact *ungrouped* aggregates there too (only the per-window
-/// partial-combine fold stays on the control thread), and morsel-level
-/// work stealing keeps the workers busy under key skew that would
-/// otherwise serialize on the hot shard — but pricing the remaining
-/// residue against per-core capacity is still a ROADMAP follow-on.
+/// moved exact aggregates there too (only the per-window partial-combine
+/// fold stays on the control thread) — but pricing the remaining residue
+/// against per-core capacity is still a ROADMAP follow-on. Key skew is a
+/// second residue: each shard's rows run on that shard's worker, so a hot
+/// shard serializes its share of the keyed work.
 pub fn effective_capacity(per_core: Load, shards: usize) -> Load {
     assert!(shards > 0, "shard count must be positive");
     Load::from_units(per_core.as_f64() * shards as f64)

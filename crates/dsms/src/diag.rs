@@ -83,9 +83,10 @@ pub enum Code {
     /// NL020: the keyed-plan classification derived from the logical
     /// plans diverges from the network's physical classification.
     KeyedClassificationDivergence,
-    /// NL021: a stateful node's ordering safety cannot be proven — it is
-    /// neither behind a merge barrier nor order-free, or its claimed
-    /// commutativity diverges from the logical re-derivation.
+    /// NL021: a stateful node's ordering safety cannot be proven — it
+    /// receives pre-merge input without being a keyed member, or it is a
+    /// partial-aggregation member with in-plan consumers or an inexact
+    /// (order-sensitive) combine.
     StatefulOrderUnsafe,
     /// NL030: per-CQ attributed costs do not sum to the per-node totals.
     CostNotConserved,

@@ -55,7 +55,6 @@ use crate::plan::{LogicalPlan, PlanError};
 use crate::types::{work, MergeTags, Schema, Tuple, TupleBatch};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -164,9 +163,8 @@ pub struct StreamStats {
 }
 
 /// Per-shard execution statistics of the parallel executor (all zero while
-/// the engine runs at one shard). The index is the pool worker that
-/// executed the work, which under stealing need not be the rows' home
-/// shard.
+/// the engine runs at one shard). The index is the home shard: worker `s`
+/// walks exactly the rows partitioned to shard `s`.
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
     /// Rows this shard's workers fed into keyed-plan operators.
@@ -251,8 +249,6 @@ pub struct DsmsEngine {
     /// The persistent worker pool (threads spawn lazily on the first
     /// parallel flush and park between flushes).
     pool: WorkerPool,
-    /// Whether idle workers steal morsels from busy workers' deque tails.
-    stealing: bool,
     /// The fault-injection plan driving soak tests and benches (`None` —
     /// inert — outside them).
     fault: Option<Arc<FaultPlan>>,
@@ -304,7 +300,6 @@ impl DsmsEngine {
             keyed_cache: None,
             merged_pending: VecDeque::new(),
             pool: WorkerPool::default(),
-            stealing: true,
             fault: None,
             pending_panics: Vec::new(),
             quarantine_log: Vec::new(),
@@ -367,8 +362,9 @@ impl DsmsEngine {
     /// Sets the worker-shard count — the knob next to the batch-size and
     /// fusion knobs. `1` (the default) compiles down to the single-threaded
     /// path; `n > 1` runs the keyed plan ([`QueryNetwork::keyed_plan`]) as
-    /// morsels on `n` pooled worker threads (left to the OS scheduler, not
-    /// pinned to cores) and merges their outputs deterministically, so
+    /// one walk per shard on `n` pooled worker threads (left to the OS
+    /// scheduler, not pinned to cores; worker `s` walks home shard `s`)
+    /// and merges their outputs deterministically, so
     /// outputs are bit-identical to the single-threaded engine regardless
     /// of shard count. The plan holds every stream's stateless operators
     /// (filters, projections, fused chains) plus, for streams with a shard
@@ -448,40 +444,12 @@ impl DsmsEngine {
         self.shard_keys.get(stream).copied()
     }
 
-    /// Per-shard execution statistics (index = shard id; all zero until a
-    /// sharded run happens).
-    ///
-    /// With work stealing enabled the index is the **executing worker**,
-    /// not the partition-time home shard, so a zipf-skewed key
-    /// distribution still shows near-balanced rows here (the home-shard
-    /// skew stays visible in [`StreamStats::shard_rows`]).
+    /// Per-shard execution statistics (index = home shard; all zero until
+    /// a sharded run happens). Each shard's work runs on its own worker,
+    /// so a zipf-skewed key distribution shows the same skew here as in
+    /// [`StreamStats::shard_rows`].
     pub fn shard_stats(&self) -> &[ShardStats] {
         &self.shard_stats
-    }
-
-    /// Enables or disables work stealing (builder form; see
-    /// [`DsmsEngine::set_stealing`]).
-    pub fn with_stealing(mut self, enabled: bool) -> Self {
-        self.set_stealing(enabled);
-        self
-    }
-
-    /// Enables or disables work stealing between the pool workers. On by
-    /// default: an idle worker pops morsels from the tails of busy
-    /// workers' deques, so skewed key distributions rebalance across
-    /// cores. A morsel is one round-robin source batch, one home shard's
-    /// slice of a keyed source batch, or — for order-sensitive keyed
-    /// plans — a home shard's whole keyed share (a chain morsel).
-    /// Disabling pins every morsel to its home shard's worker (fork/join
-    /// behavior), which also makes the schedule, and with it every work
-    /// counter, deterministic. Outputs are bit-identical either way.
-    pub fn set_stealing(&mut self, enabled: bool) {
-        self.stealing = enabled;
-    }
-
-    /// Whether work stealing is enabled.
-    pub fn stealing(&self) -> bool {
-        self.stealing
     }
 
     /// The underlying network (read-only).
@@ -840,20 +808,16 @@ impl DsmsEngine {
     ///    Subscribers outside the plan (shard-incompatible operators,
     ///    sinks) receive the raw batch at flush time, exactly like the
     ///    single-threaded path.
-    /// 2. **Morsel-driven execution on the pool.** The flush's units are
-    ///    cut into [`Morsel`]s on per-worker deques and one job per worker
-    ///    runs on the persistent [`WorkerPool`] (threads spawn once, then
-    ///    park between flushes): each worker drains its own deque head
-    ///    first, then steals from the other deques' tails
-    ///    ([`MorselScheduler`]), so skewed key distributions rebalance.
-    ///    Every morsel runs a **mini node loop** — per-node FIFO queues drained
-    ///    in ascending node order, stateful operators absorbing into
-    ///    their home shard's state partition (ungrouped exact aggregates:
-    ///    the executing worker's partial), selection vectors pushed down
-    ///    into joins/aggregates instead of densifying. Windows close
-    ///    against the flush's merged watermark inside the chain morsel
-    ///    (order-sensitive plans) or in a dedicated advance phase behind
-    ///    an all-absorbed barrier (commutative plans).
+    /// 2. **Fork/join on the pool.** One job per shard runs on the
+    ///    persistent [`WorkerPool`] (threads spawn once, then park between
+    ///    flushes): worker `s` makes one walk over all of home shard `s`'s
+    ///    units ([`keyed_worker`]) — a **mini node loop** with per-node
+    ///    FIFO queues drained in ascending node order, stateful operators
+    ///    absorbing into shard `s`'s state partition (exact partial
+    ///    members: shard `s`'s partial), selection vectors pushed down
+    ///    into joins/aggregates instead of densifying, and windows closing
+    ///    against the flush's merged watermark inside the walk. A dead
+    ///    seat's walk is replayed on the control thread after the join.
     /// 3. **Deterministic merge.** Exit outputs are merged per
     ///    `(producing node, entry path)` — interleaved by sequence tag
     ///    (join fan-out repeats its probe row's tag, preserving shard
@@ -878,10 +842,10 @@ impl DsmsEngine {
         let keyed = self.keyed_plan();
 
         // -- 1. Partition ------------------------------------------------
-        // Keyless units reach stateless members only, so each is its own
-        // morsel right away; keyed units are cut into morsels in 2a.
-        let mut deques: Vec<VecDeque<Morsel>> = (0..shards).map(|_| VecDeque::new()).collect();
-        let mut keyed_units: Vec<Vec<KeyedUnit>> = (0..shards).map(|_| Vec::new()).collect();
+        // One unit list per home shard, in source-batch order. Keyless
+        // units share the list: they reach stateless single-input members
+        // only, so their order relative to keyed units does not matter.
+        let mut units: Vec<Vec<KeyedUnit>> = (0..shards).map(|_| Vec::new()).collect();
         for (batch_idx, (stream, batch)) in ingested.into_iter().enumerate() {
             if let Some(ts) = batch.max_ts() {
                 self.advance_watermark_to(ts);
@@ -910,13 +874,12 @@ impl DsmsEngine {
                 let s = *cursor % shards;
                 *cursor = (*cursor + 1) % shards;
                 self.note_shard_rows(&stream, s, batch.len() as u64, shards);
-                let unit = KeyedUnit {
+                units[s].push(KeyedUnit {
                     batch_idx,
                     root: root_idx,
                     seqs: (0..batch.len() as u32).collect(),
                     batch,
-                };
-                deques[s].push_back(Morsel::Keyed { home: s, unit });
+                });
                 continue;
             };
             // Hash partition.
@@ -933,7 +896,7 @@ impl DsmsEngine {
                     continue;
                 }
                 self.note_shard_rows(&stream, s, rows.len() as u64, shards);
-                keyed_units[s].push(KeyedUnit {
+                units[s].push(KeyedUnit {
                     batch_idx,
                     root: root_idx,
                     batch: batch.take(&rows),
@@ -962,13 +925,11 @@ impl DsmsEngine {
             })
             .collect();
         let run_advance = advance.iter().any(|&a| a);
-        let have_units =
-            deques.iter().any(|d| !d.is_empty()) || keyed_units.iter().any(|u| !u.is_empty());
-        if !have_units && !run_advance {
+        if !run_advance && units.iter().all(Vec::is_empty) {
             return;
         }
 
-        // -- 2. Parallel execution on the persistent pool ----------------
+        // Resolve the plan's operators once for every walk of the flush.
         let columnar = crate::ops::columnar_kernels_enabled();
         let simd = crate::ops::simd_kernels_enabled();
         let network = &self.network;
@@ -994,7 +955,6 @@ impl DsmsEngine {
                     internal: kn.internal.clone(),
                     record: !kn.exits.is_empty(),
                     advance: adv,
-                    partial: kn.partial,
                     grouped: kn.partial && op.keyed_partial_grouped(),
                 }
             })
@@ -1006,69 +966,28 @@ impl DsmsEngine {
             fault: self.fault.as_deref(),
         };
 
-        // -- 2a. Cut morsels ---------------------------------------------
-        // Keyed units are independent exactly when every stateful plan
-        // member's absorption commutes
-        // ([`crate::ops::Operator::keyed_commutative`]), and are then one
-        // morsel each too. Joins and inexact (float) aggregates are
-        // order-sensitive, so each home shard's keyed units then run as
-        // one sequential **chain** morsel — stealable whole, so a hot shard
-        // can still migrate to an idle worker.
-        let ordered = keyed.nodes.iter().any(|kn| {
-            kn.stateful
-                && network
-                    .node(kn.id)
-                    .is_some_and(|n| !n.op.keyed_commutative())
-        });
-        for (s, units) in keyed_units.into_iter().enumerate() {
-            if !ordered {
-                deques[s].extend(
-                    units
-                        .into_iter()
-                        .map(|unit| Morsel::Keyed { home: s, unit }),
-                );
-            } else if !units.is_empty() || run_advance {
-                // Chain fallbacks are the cost of order sensitivity: the
-                // counter lets benches assert commutative grouped plans
-                // stopped paying it.
-                work::count_chain_morsel();
-                deques[s].push_back(Morsel::Chain { home: s, units });
-            }
-        }
-        let dispatched = deques.iter().map(VecDeque::len).sum();
-        let sched = MorselScheduler {
-            deques: deques.into_iter().map(Mutex::new).collect(),
-            pending: AtomicUsize::new(dispatched),
-            aborted: AtomicBool::new(false),
-            deserted: AtomicBool::new(false),
-            stealing: self.stealing,
-        };
-        // In commutative mode the watermark pass runs as a second phase:
-        // after every morsel of the flush is absorbed (the `pending == 0`
-        // barrier), worker `w` closes the windows of state partition `w` —
-        // per-partition, so the pass itself needs no synchronization and
-        // emission order stays deterministic.
-        let advance_phase = run_advance && !ordered;
-
-        // -- 2b. Morsel-driven execution on the persistent pool ----------
-        let jobs: Vec<ShardJob<'_>> = (0..shards)
-            .map(|worker| {
+        // -- 2. Fork/join on the persistent pool ------------------------
+        // Worker `s` walks home shard `s`: every unit of the shard in
+        // source order, with the watermark pass inside the walk. A shard
+        // walks when it has units or the flush closes windows. Injected
+        // worker deaths are claimed here, once per (worker, flush): the
+        // dying seat's job only unwinds, and the control thread keeps the
+        // seat's units to replay after the join.
+        let mut dead: Vec<(usize, Vec<KeyedUnit>)> = Vec::new();
+        let jobs: Vec<ShardJob<'_>> = units
+            .into_iter()
+            .enumerate()
+            .map(|(shard, units)| {
+                if ctx.fault.is_some_and(|f| f.claims_worker_death(shard)) {
+                    dead.push((shard, units));
+                    // `resume_unwind` skips the panic hook: an injected
+                    // death is not worth a stderr backtrace.
+                    let job: ShardJob<'_> =
+                        Box::new(|| std::panic::resume_unwind(Box::new(WorkerDeath)));
+                    return job;
+                }
                 let ctx = &ctx;
-                let sched = &sched;
                 let job: ShardJob<'_> = Box::new(move || {
-                    // Injected worker death fires at job start, before any
-                    // morsel runs — a dying worker never leaves a morsel
-                    // half-executed, so its whole deque can be replayed
-                    // inline by the control thread. The desertion flag is
-                    // raised *before* the panic so no survivor can hang on
-                    // the advance barrier waiting for the dead worker's
-                    // share of `pending`.
-                    if let Some(fault) = ctx.fault {
-                        if fault.claims_worker_death(worker) {
-                            sched.deserted.store(true, Ordering::Release);
-                            std::panic::panic_any(WorkerDeath);
-                        }
-                    }
                     // Pooled workers persist across flushes: counters and
                     // the kernel switches are re-seeded per job, and the
                     // end-of-job snapshot is the job's delta. Re-seeding
@@ -1079,54 +998,9 @@ impl DsmsEngine {
                     crate::ops::set_columnar_kernels(columnar);
                     crate::ops::set_simd_kernels(simd);
                     let mut report = ShardReport::default();
-                    while let Some((morsel, stolen)) = sched.grab(worker) {
+                    if run_advance || !units.is_empty() {
                         work::count_morsel_executed();
-                        if stolen {
-                            work::count_morsel_stolen();
-                        }
-                        // Kernel panics are caught per invocation *inside*
-                        // the worker bodies (recover-and-continue); this
-                        // outer net only catches genuine executor bugs,
-                        // which still abort the flush.
-                        let done = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            ctx.run_morsel(morsel, Some(worker), &mut report);
-                        }));
-                        sched.pending.fetch_sub(1, Ordering::AcqRel);
-                        if let Err(payload) = done {
-                            // Unblock the other workers' barriers before
-                            // surfacing the panic through the pool.
-                            sched.aborted.store(true, Ordering::Release);
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                    if advance_phase {
-                        // All-absorbed barrier: windows may close only
-                        // once every morsel's rows reached partitioned
-                        // state. The deques are already empty (`grab`
-                        // returned `None`), so this only waits out morsels
-                        // still executing elsewhere. A deserted flush
-                        // releases the barrier early: the dead worker's
-                        // `pending` share may never drain, and whether
-                        // absorption is complete is only known once the
-                        // control thread replays the leftovers — so the
-                        // advance is skipped (recorded via
-                        // `report.advanced`) unless absorption had already
-                        // finished.
-                        while sched.pending.load(Ordering::Acquire) != 0
-                            && !sched.aborted.load(Ordering::Acquire)
-                            && !sched.deserted.load(Ordering::Acquire)
-                        {
-                            std::thread::yield_now();
-                        }
-                        if sched.pending.load(Ordering::Acquire) == 0
-                            && !sched.aborted.load(Ordering::Acquire)
-                        {
-                            ctx.advance_partition(worker, &mut report);
-                            report.advanced = true;
-                        }
-                    } else {
-                        // No second-phase duty to make up for.
-                        report.advanced = true;
+                        keyed_worker(ctx, shard, units, &mut report);
                     }
                     report.work = work::snapshot();
                     report
@@ -1136,65 +1010,38 @@ impl DsmsEngine {
             .collect();
         let results = self.pool.run(jobs);
 
-        // Surface worker deaths: a dying worker posts `Done(Err)` with the
-        // [`WorkerDeath`] marker before its thread exits, and the pool has
-        // already respawned the seat (counted by
-        // [`work::WorkSnapshot::pool_spawns`] — kernel-panic quarantine, by
-        // contrast, keeps workers alive and that counter flat). Its report
-        // defaults to empty; the leftovers are replayed below. Any other
-        // payload is a genuine executor bug and unwinds as before.
-        let mut deaths: Vec<usize> = Vec::new();
-        let mut reports: Vec<(usize, ShardReport)> = Vec::with_capacity(results.len());
-        for (w, result) in results.into_iter().enumerate() {
+        // A dead seat posts `Done(Err)` with the [`WorkerDeath`] marker
+        // and the pool has already respawned it (counted by
+        // [`work::WorkSnapshot::pool_spawns`] — kernel-panic quarantine,
+        // by contrast, keeps workers alive and that counter flat). Any
+        // other payload is a genuine executor bug and unwinds as before.
+        let mut reports: Vec<ShardReport> = Vec::with_capacity(shards);
+        for result in results {
             match result {
-                Ok(report) => reports.push((w, report)),
+                Ok(report) => reports.push(report),
                 Err(payload) if payload.is::<WorkerDeath>() => {
-                    deaths.push(w);
-                    reports.push((w, ShardReport::default()));
+                    reports.push(ShardReport::default());
                 }
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        // Recover a deserted flush on the control thread, while the
-        // flush's resolved plans are still in scope: (a) replay every
-        // morsel left on the deques — death fires at job start, so
-        // leftover morsels (including chains, whose watermark pass rides
-        // inside) are whole; (b) run the advance-phase duty of every
-        // partition whose worker skipped it (per-partition, so each
-        // partition's windows close exactly once — either on its worker or
-        // here). Recovery outputs join the same deterministic merge as the
-        // pool reports, so the flush's output order is unchanged.
-        if !deaths.is_empty() {
-            let mut recovery = ShardReport::default();
-            for deque in &sched.deques {
-                loop {
-                    // Pop under a short-lived guard: the morsel runs with
-                    // the deque unlocked.
-                    let Some(morsel) = lock_deque(deque).pop_front() else {
-                        break;
-                    };
-                    work::count_morsel_executed();
-                    ctx.run_morsel(morsel, None, &mut recovery);
-                }
+        // Replay each dead seat's walk on the control thread, credited to
+        // the seat's own shard. The seat died before touching any state,
+        // so the replay is exactly the walk it would have run, and its
+        // outputs join the same deterministic merge.
+        for (shard, units) in dead {
+            if run_advance || !units.is_empty() {
+                work::count_morsel_executed();
+                keyed_worker(&ctx, shard, units, &mut reports[shard]);
             }
-            if advance_phase {
-                for (w, report) in &reports {
-                    if !report.advanced {
-                        ctx.advance_partition(*w, &mut recovery);
-                    }
-                }
-            }
-            for &w in &deaths {
-                self.runtime_report.push(Diagnostic::new(
-                    Code::WorkerDeath,
-                    Span::Network,
-                    format!(
-                        "pool worker {w} died mid-flush; its morsels were replayed inline and \
-                         the seat respawned"
-                    ),
-                ));
-            }
-            reports.push((deaths[0], recovery));
+            self.runtime_report.push(Diagnostic::new(
+                Code::WorkerDeath,
+                Span::Network,
+                format!(
+                    "pool worker {shard} died mid-flush; its walk was replayed inline and the \
+                     seat respawned"
+                ),
+            ));
         }
 
         // The keyed plan's watermark handling happened inside the shards:
@@ -1213,7 +1060,7 @@ impl DsmsEngine {
 
         // -- 3. Deterministic merge --------------------------------------
         let mut merged: BTreeMap<(u32, Vec<u32>), Parts> = BTreeMap::new();
-        for (s, report) in reports {
+        for (s, report) in reports.into_iter().enumerate() {
             work::absorb(&report.work);
             self.processed += report.rows;
             self.batches += report.batches;
@@ -1790,74 +1637,11 @@ struct KeyedUnit {
     seqs: Vec<u32>,
 }
 
-/// One batch-sized work item of the morsel scheduler. Every morsel is
-/// tagged with the sequence metadata its units already carry (source batch
-/// indices, row tags), so the deterministic merge is independent of which
-/// worker executes it and in what order.
-enum Morsel {
-    /// One independent unit of the `home` shard — stealable on its own
-    /// because it is keyless (it reaches stateless members only) or every
-    /// stateful plan member combines commutatively.
-    Keyed { home: usize, unit: KeyedUnit },
-    /// One `home` shard's entire keyed workload plus its watermark pass,
-    /// run sequentially (order-sensitive plans: joins, float aggregates).
-    Chain { home: usize, units: Vec<KeyedUnit> },
-}
-
-/// The flush-scoped morsel scheduler: one deque per worker, seeded with
-/// the worker's home-shard morsels. The owner pops from the head; when a
-/// worker's own deque runs dry (and stealing is enabled) it pops from the
-/// tails of the other workers' deques, so a zipf-hot shard's backlog
-/// spreads over every idle core. Workers never push, so an empty scan
-/// means the flush's distribution phase is over for good.
-struct MorselScheduler {
-    deques: Vec<Mutex<VecDeque<Morsel>>>,
-    /// Morsels dequeued but not yet *finished* — decremented after a
-    /// morsel's rows are absorbed, so `0` is the all-absorbed barrier the
-    /// advance phase waits on.
-    pending: AtomicUsize,
-    /// Set when a morsel panicked: the other workers drop their barriers
-    /// and the pool re-raises the payload on the control thread.
-    aborted: AtomicBool,
-    /// Set by a worker dying at job start (before its morsels ran):
-    /// survivors release their advance barriers — the dead worker's
-    /// `pending` share may never drain — and the control thread replays
-    /// the leftover morsels inline after the pool joins.
-    deserted: AtomicBool,
-    stealing: bool,
-}
-
-impl MorselScheduler {
-    /// The next morsel for `me`: own head first, then other workers'
-    /// tails. `true` marks a steal; empty victims count
-    /// [`work::WorkSnapshot::steal_misses`].
-    fn grab(&self, me: usize) -> Option<(Morsel, bool)> {
-        if self.aborted.load(Ordering::Acquire) {
-            return None;
-        }
-        if let Some(m) = lock_deque(&self.deques[me]).pop_front() {
-            return Some((m, false));
-        }
-        if !self.stealing {
-            return None;
-        }
-        let n = self.deques.len();
-        for victim in (1..n).map(|off| (me + off) % n) {
-            match lock_deque(&self.deques[victim]).pop_back() {
-                Some(m) => return Some((m, true)),
-                None => work::count_steal_miss(),
-            }
-        }
-        None
-    }
-}
-
 /// Rides over mutex poisoning: every lock in the engine guards data whose
-/// invariants hold between operations (a deque of whole morsels, a slot
-/// state machine), and a panic inside a critical section is surfaced
-/// separately — through a per-kernel catch, the scheduler's `aborted`
-/// flag, or the pool's `Done(Err)` path — so the poison flag carries no
-/// extra information here. One helper instead of scattered
+/// invariants hold between operations (a slot state machine), and a panic
+/// inside a critical section is surfaced separately — through a
+/// per-kernel catch or the pool's `Done(Err)` path — so the poison flag
+/// carries no extra information here. One helper instead of scattered
 /// `unwrap_or_else(PoisonError::into_inner)` copies.
 fn ride_poison<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     r.unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -1900,16 +1684,10 @@ fn run_kernel<T>(node: u32, panics: &mut Vec<(u32, String)>, f: impl FnOnce() ->
     }
 }
 
-/// Locks a morsel deque, riding over poisoning (the panic that poisoned it
-/// is surfaced through the pool's `Done(Err)` path).
-fn lock_deque(m: &Mutex<VecDeque<Morsel>>) -> std::sync::MutexGuard<'_, VecDeque<Morsel>> {
-    ride_poison(m.lock())
-}
-
-/// Everything a morsel body reads during one parallel flush: the flush's
+/// Everything a shard walk reads during one parallel flush: the flush's
 /// plans with operator references resolved, its merged watermark and the
 /// fault plan. Shared read-only by the pool workers and by the control
-/// thread's inline replay of a deserted flush.
+/// thread's inline replay of a dead seat's walk.
 struct FlushCtx<'a> {
     /// The keyed plan's nodes in plan order.
     keyed: Vec<ResolvedKeyedNode<'a>>,
@@ -1917,35 +1695,6 @@ struct FlushCtx<'a> {
     roots: Vec<Vec<(usize, usize)>>,
     watermark: u64,
     fault: Option<&'a FaultPlan>,
-}
-
-impl FlushCtx<'_> {
-    /// Runs one morsel. Partial-aggregation members absorb into
-    /// `worker`'s partition — a pool worker passes its own seat, the
-    /// control thread's inline replay (`None`) the morsel's home shard.
-    fn run_morsel(&self, morsel: Morsel, worker: Option<usize>, report: &mut ShardReport) {
-        match morsel {
-            Morsel::Keyed { home, unit } => {
-                keyed_worker(
-                    self,
-                    home,
-                    worker.unwrap_or(home),
-                    vec![unit],
-                    false,
-                    report,
-                );
-            }
-            Morsel::Chain { home, units } => {
-                keyed_worker(self, home, worker.unwrap_or(home), units, true, report);
-            }
-        }
-    }
-
-    /// The commutative scheduler's advance-phase duty of partition `w`:
-    /// closes that partition's windows against the flush's watermark.
-    fn advance_partition(&self, w: usize, report: &mut ShardReport) {
-        keyed_worker(self, w, w, Vec::new(), true, report);
-    }
 }
 
 /// Per-node statistic deltas accumulated by one worker.
@@ -1974,14 +1723,9 @@ struct ShardReport {
     /// The worker thread's work counters, folded into the control thread
     /// when the shard joins.
     work: work::WorkSnapshot,
-    /// Kernel panics caught during this shard's morsels: `(node id, panic
+    /// Kernel panics caught during this shard's walk: `(node id, panic
     /// message)`. Resolved into quarantines by the control thread.
     panics: Vec<(u32, String)>,
-    /// Whether this worker's advance-phase duty ran (always `true` when
-    /// the flush has no second phase). A deserted flush leaves it `false`
-    /// on workers that skipped their advance; the control thread makes
-    /// those partitions up inline.
-    advanced: bool,
 }
 
 /// A stateless-or-keyed kernel reference resolved for the workers.
@@ -2006,14 +1750,11 @@ struct ResolvedKeyedNode<'a> {
     /// (always `false` for partial members — the control loop combines
     /// and emits their partials).
     advance: bool,
-    /// Whether the node is a partial-aggregation member: absorbs into the
-    /// **executing worker's** partition instead of the home shard's (see
-    /// [`crate::network::KeyedNode::partial`]).
-    partial: bool,
-    /// Whether the node is a *grouped* partial member (per-worker hash
-    /// partials over a shard-incompatible group key); counts
-    /// [`work::WorkSnapshot::grouped_partial_rows`]. Implies `partial` —
-    /// key-compatible grouped aggregates are full members, not partials.
+    /// Whether the node is a *grouped* partial member (per-shard hash
+    /// partials over a shard-incompatible group key, see
+    /// [`crate::network::KeyedNode::partial`]); counts
+    /// [`work::WorkSnapshot::grouped_partial_rows`]. Key-compatible
+    /// grouped aggregates are full members, not partials.
     grouped: bool,
 }
 
@@ -2047,36 +1788,21 @@ fn entry_child(id: u32, parent: &[u32]) -> Vec<u32> {
     key
 }
 
-/// The keyed body of one morsel: a **mini node loop** over the keyed
+/// One shard's walk for a flush: a **mini node loop** over the keyed
 /// plan, mirroring the single-threaded engine's pass — per-node FIFO
-/// queues drained in ascending node order and (when `advance` is set)
-/// each stateful node closing `state_shard`'s windows against the flush's
-/// merged watermark right after its queue drains. Because every pair of
-/// rows a stateful member must combine shares the unit's home shard (hash
-/// partitioning on the tracked key), the walk observes exactly the
-/// single-threaded state restricted to that shard's keys, and the
-/// reported outputs carry entry paths + row tags that let the control
-/// thread reassemble bit-identical batches.
+/// queues drained in ascending node order and each advancing stateful
+/// node closing `shard`'s windows against the flush's merged watermark
+/// right after its queue drains. Because every pair of rows a stateful
+/// member must combine shares a home shard (hash partitioning on the
+/// tracked key), the walk observes exactly the single-threaded state
+/// restricted to that shard's keys, and the reported outputs carry entry
+/// paths + row tags that let the control thread reassemble bit-identical
+/// batches.
 ///
-/// Partial-aggregation members are the exception to key homing: they
-/// absorb into `partial_shard` — the **executing worker's** partition —
-/// which is exact because only commutative aggregates qualify; the
-/// control loop's watermark pass later combines the per-worker partials
-/// in partition order.
-///
-/// `advance` is set for chain morsels (order-sensitive plans run their
-/// shard's units and watermark pass as one sequential walk) and for the
-/// commutative scheduler's dedicated advance phase (empty `units`,
-/// `state_shard == partial_shard ==` the worker's own partition, entered
-/// only after every morsel of the flush is absorbed).
-fn keyed_worker(
-    ctx: &FlushCtx<'_>,
-    state_shard: usize,
-    partial_shard: usize,
-    units: Vec<KeyedUnit>,
-    advance: bool,
-    report: &mut ShardReport,
-) {
+/// Partial-aggregation members absorb into `shard`'s partial, which is
+/// exact because only commutative aggregates qualify; the control loop's
+/// watermark pass later combines the partials in partition order.
+fn keyed_worker(ctx: &FlushCtx<'_>, shard: usize, units: Vec<KeyedUnit>, report: &mut ShardReport) {
     let FlushCtx {
         keyed: nodes,
         roots,
@@ -2173,11 +1899,6 @@ fn keyed_worker(
                             // into per-worker hash partials.
                             work::count_grouped_partial_rows(in_rows);
                         }
-                        let shard = if node.partial {
-                            partial_shard
-                        } else {
-                            state_shard
-                        };
                         let (out, trace) =
                             k.process_keyed(shard, entry.port, &entry.batch, entry.sel.as_deref());
                         (!out.is_empty()).then(|| KeyedEntry {
@@ -2204,14 +1925,13 @@ fn keyed_worker(
         }
         // Watermark pass: close this shard's windows right after the
         // node's queue — the position the single-threaded loop advances
-        // the node at. Suppressed while `advance` is off (commutative
-        // morsels — their flush runs a dedicated advance phase instead).
-        if advance && node.advance {
+        // the node at.
+        if node.advance {
             if let ResolvedKeyedKernel::Stateful(k) = &node.kernel {
                 let start = Instant::now();
                 let emitted = run_kernel(node.id, &mut report.panics, || {
                     inject(*fault, node.kind, &[]);
-                    k.advance_keyed(state_shard, *watermark)
+                    k.advance_keyed(shard, *watermark)
                 })
                 .flatten();
                 let elapsed = start.elapsed();

@@ -13,6 +13,11 @@
 //! fires **exactly once** (fetch-and-swap claims), which keeps soak tests
 //! deterministic: a 100-seed soak derives `(kind, nth)` pairs from the
 //! seed via [`FaultPlan::seeded`] and replays bit-identically.
+//!
+//! Injected faults unwind with [`std::panic::resume_unwind`], which skips
+//! the panic hook: they are expected, caught and reported through the
+//! quarantine machinery, so they print nothing to stderr. Genuine panics
+//! still reach the hook.
 
 use crate::ops::OPERATOR_KINDS;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,7 +52,7 @@ pub struct FaultPlan {
     fired: [AtomicBool; 6],
     /// Any kernel invocation whose input batch carries this event
     /// timestamp panics (a poison row: content-triggered, so the fault
-    /// site is independent of shard count and morsel scheduling).
+    /// site is independent of shard count).
     poison_ts: Option<u64>,
     /// Kill worker `w` when it is woken for its `n`-th (1-based) job.
     kill_worker: Option<(usize, u64)>,
@@ -149,12 +154,15 @@ impl FaultPlan {
     /// quarantine of the owning queries.
     ///
     /// # Panics
-    /// Panics when a count-based or poison trigger fires — that is the
+    /// Unwinds with a `String` message (without calling the panic hook)
+    /// when a count-based or poison trigger fires — that is the
     /// injection.
     pub fn before_kernel(&self, kind: &str, ts: &[u64]) {
         if let Some(poison) = self.poison_ts {
             if ts.contains(&poison) {
-                panic!("{INJECTED_PANIC_PREFIX}: poison row (ts {poison}) entering {kind} kernel");
+                injected_panic(format!(
+                    "{INJECTED_PANIC_PREFIX}: poison row (ts {poison}) entering {kind} kernel"
+                ));
             }
         }
         let Some(idx) = kind_index(kind) else {
@@ -162,15 +170,18 @@ impl FaultPlan {
         };
         let count = self.counters[idx].fetch_add(1, Ordering::AcqRel) + 1;
         if self.panic_at[idx] == Some(count) && !self.fired[idx].swap(true, Ordering::AcqRel) {
-            panic!("{INJECTED_PANIC_PREFIX}: {kind} kernel invocation #{count}");
+            injected_panic(format!(
+                "{INJECTED_PANIC_PREFIX}: {kind} kernel invocation #{count}"
+            ));
         }
     }
 
     /// The worker-wakeup hook: counts one job for `worker` and reports
     /// whether the worker should die *now* (one-shot). Called by the
-    /// engine at the start of each pooled job, before any morsel runs, so
-    /// an injected death never leaves a morsel half-executed — its whole
-    /// deque is recovered on the control thread.
+    /// engine's control thread once per worker per parallel flush, while
+    /// it builds the flush's jobs: a dying seat gets a job that only
+    /// unwinds with [`WorkerDeath`], and the control thread keeps the
+    /// seat's units and replays its walk inline after the join.
     pub fn claims_worker_death(&self, worker: usize) -> bool {
         let Some((w, nth)) = self.kill_worker else {
             return false;
@@ -181,6 +192,11 @@ impl FaultPlan {
         let count = self.jobs[w].fetch_add(1, Ordering::AcqRel) + 1;
         count == nth && !self.kill_fired.swap(true, Ordering::AcqRel)
     }
+}
+
+/// Unwinds with `message` as the payload, skipping the panic hook.
+fn injected_panic(message: String) -> ! {
+    std::panic::resume_unwind(Box::new(message))
 }
 
 #[cfg(test)]
@@ -210,6 +226,49 @@ mod tests {
             plan.before_kernel("join", &[41, 42]);
         }));
         assert!(hit.is_err(), "poison ts must panic");
+    }
+
+    #[test]
+    fn injected_panics_skip_the_panic_hook() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Arc;
+        // The hook is process-wide: count only this thread's calls and
+        // hand every other thread's panics to the previous hook.
+        let me = std::thread::current().id();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let previous = Arc::new(std::panic::take_hook());
+        {
+            let calls = calls.clone();
+            let previous = previous.clone();
+            std::panic::set_hook(Box::new(move |info| {
+                if std::thread::current().id() == me {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                } else {
+                    previous(info);
+                }
+            }));
+        }
+        let plan = FaultPlan::new().panic_on("filter", 1).with_poison_ts(7);
+        let count = std::panic::catch_unwind(|| plan.before_kernel("filter", &[1]));
+        let poison = std::panic::catch_unwind(|| plan.before_kernel("join", &[7]));
+        let hook_calls_injected = calls.load(Ordering::SeqCst);
+        // A genuine panic still reaches the hook.
+        let genuine = std::panic::catch_unwind(|| panic!("genuine"));
+        let hook_calls_genuine = calls.load(Ordering::SeqCst) - hook_calls_injected;
+        drop(std::panic::take_hook());
+        let previous = Arc::try_unwrap(previous)
+            .unwrap_or_else(|_| unreachable!("the counting hook was dropped"));
+        std::panic::set_hook(previous);
+
+        let message = count.expect_err("count trigger fires");
+        assert_eq!(
+            message.downcast_ref::<String>().map(String::as_str),
+            Some("injected fault: filter kernel invocation #1")
+        );
+        assert!(poison.is_err(), "poison trigger fires");
+        assert!(genuine.is_err());
+        assert_eq!(hook_calls_injected, 0, "injected panics skip the hook");
+        assert_eq!(hook_calls_genuine, 1, "genuine panics reach the hook");
     }
 
     #[test]

@@ -186,7 +186,7 @@
 //! row-for-row equivalent (pinned by the `fused_network_equals_unfused`
 //! property in `tests/property_dsms.rs`).
 //!
-//! ## Parallel execution: morsel-driven scheduling with work stealing
+//! ## Parallel execution: fork/join over home shards
 //!
 //! The engine scales ingestion across cores without giving up replay
 //! exactness. A **shard-count knob** sits next to the batch-size and
@@ -215,35 +215,22 @@
 //!    the joins and aggregates they feed stay outside. Subscribers
 //!    outside the plan — shard-incompatible operators and sinks — receive
 //!    raw batches at flush time, exactly like the single-threaded engine.
-//! 2. **Morsel-driven execution on the pool.** The flush's work units
-//!    become **morsels** — batch-sized, sequence-tagged work items of
-//!    exactly one unit each (one keyless source batch, or one home
-//!    shard's slice of a keyed source batch; order-sensitive keyed plans
-//!    use the chain morsels below for their keyed units) — dealt onto
-//!    **per-worker deques**: worker `w`'s deque holds the morsels whose
-//!    rows hash-partitioned to home shard `w` (plus its round-robin share
-//!    of keyless batches). One job per worker runs on a **persistent
-//!    worker pool** (long-lived threads spawn once, park on condvar
-//!    inboxes, wake per flush — [`types::work::WorkSnapshot::pool_spawns`]
-//!    stays flat after warmup): each worker pops its *own deque's head*
-//!    first, and when that runs dry **steals from the tail** of the next
-//!    busy worker's deque ([`engine::DsmsEngine::set_stealing`], on by
-//!    default) — so a zipf-skewed key distribution that floods one home
-//!    shard rebalances across whichever workers are idle. Executed,
-//!    stolen, and missed-steal morsels are counted
-//!    ([`types::work::WorkSnapshot::morsels_executed`] /
-//!    [`types::work::WorkSnapshot::morsels_stolen`] /
-//!    [`types::work::WorkSnapshot::steal_misses`]); a worker sweeps the
-//!    victim deques at most once per grab, so the counters also pin that
-//!    nobody spins. Every morsel runs the same mini node loop over the
-//!    plan.
-//!    Stateful members execute through a `&self` kernel
-//!    ([`ops::KeyedKernel`]) against **state partitions** addressed by
-//!    the morsel's *home* shard (equal keys share a home, so a stolen
-//!    morsel mutates exactly the partition it would have at home), close
-//!    windows per-partition against the flush's merged watermark, and
-//!    absorb filtered input **through the selection vector** (no densify;
-//!    counted by
+//! 2. **Fork/join on the pool.** One job per shard runs on a
+//!    **persistent worker pool** (long-lived threads spawn once, park on
+//!    condvar inboxes, wake per flush —
+//!    [`types::work::WorkSnapshot::pool_spawns`] stays flat after
+//!    warmup). Worker `s` makes **one walk** over every unit of home
+//!    shard `s` — its slices of the keyed source batches plus its
+//!    round-robin share of keyless batches, in source-batch order — and
+//!    the shard's watermark pass runs inside the same walk. A shard walks
+//!    when it has units or the flush closes windows; each walk counts one
+//!    [`types::work::WorkSnapshot::morsels_executed`]. The walk is a mini
+//!    node loop over the plan: stateful members execute through a
+//!    `&self` kernel ([`ops::KeyedKernel`]) against shard `s`'s **state
+//!    partition**, close windows per partition against the flush's
+//!    merged watermark right after their queue drains (the position the
+//!    single-threaded loop advances them at), and absorb filtered input
+//!    **through the selection vector** (no densify; counted by
 //!    [`types::work::WorkSnapshot::selection_pushdown_rows`]).
 //! 3. **Deterministic merge — past the stateful operators.** The merge
 //!    barrier sits at the keyed plan's *exits* (the first
@@ -258,19 +245,6 @@
 //!    each producer, reproducing the single-threaded arrival interleaving
 //!    at every out-of-plan queue.
 //!
-//! **Two keyed execution modes.** Stealing must not reorder state
-//! mutations that produce inline outputs, so the scheduler classifies
-//! each keyed plan: when every stateful member **commutes** (exact
-//! aggregates — absorption order cannot change the combined state, and
-//! aggregates emit only at window closes), each of a home shard's units
-//! is an independent morsel and the watermark pass runs as a **second
-//! phase** behind an all-absorbed barrier (worker `w` closes partition
-//! `w`'s windows — per-partition, so the pass needs no locks). Plans with
-//! order-sensitive members (joins, float Sum/Avg aggregates) fall back to
-//! one **chain morsel** per home shard — the original one-pass walk with
-//! in-line advances, still stealable as a whole, so skew still rebalances
-//! at shard granularity.
-//!
 //! **Partial aggregation.** An ungrouped aggregate normally blocks
 //! sharding (its single group spans every shard), and so does a grouped
 //! aggregate whose group key is *shard-incompatible* (grouping by a
@@ -278,7 +252,7 @@
 //! shards) — but when the combine is **exact** (integer inputs via the
 //! i128 accumulator; Count/Min/Max over anything —
 //! [`ops::AggregateOp`]'s `combine_exact`), either shape joins the keyed
-//! plan as a **partial member**: each worker absorbs its morsels' rows
+//! plan as a **partial member**: each worker absorbs its shard's rows
 //! into its *own* partial accumulator — grouped members hash-accumulate
 //! per group key within the worker's partition (counted by
 //! [`types::work::WorkSnapshot::grouped_partial_rows`]) — and the
@@ -289,40 +263,37 @@
 //! Sum/Avg stay behind the merge barrier (float addition does not
 //! associate) — the determinism audit's `NL021` names any physical node
 //! that claims partial membership with an order-sensitive combine. The
-//! `hot_key_skew` bench's `grouped_partials` cell pins that a
-//! commutative grouped workload cuts **zero chain morsels**
-//! ([`types::work::WorkSnapshot::chain_morsels`]); the
 //! grouped/ungrouped equivalence properties pin both halves.
 //!
 //! **Determinism argument.** Hash partitioning sends every pair of rows a
 //! keyed stateful operator must combine (equal join keys, equal group
-//! keys) to the same *home* shard, and a morsel's state-partition index
-//! travels with the morsel, so per-partition operator state evolves
-//! exactly as the single-threaded state restricted to that partition's
-//! keys no matter which worker executes it; morsels of one home shard
-//! preserve source order within each deque (owners pop the head; a chain
-//! morsel is never split; commutative morsels may complete out of order
-//! but their absorptions commute), against the same merged watermark.
-//! Join outputs ordered by probe-row tag and window closes ordered by the
-//! `(window start, group)` emission comparator therefore reassemble the
-//! exact single-threaded output sequences. Output sequences are hence
+//! keys) to the same *home* shard, and only that shard's worker ever
+//! touches the shard's state partition: it walks the shard's units in
+//! source order and closes windows against the same merged watermark,
+//! so per-partition operator state evolves exactly as the
+//! single-threaded state restricted to that partition's keys. Exact
+//! partials fold per shard and combine in partition order, where the
+//! exact combine makes the split invisible. Join outputs ordered by
+//! probe-row tag and window closes ordered by the `(window start,
+//! group)` emission comparator therefore reassemble the exact
+//! single-threaded output sequences. Output sequences are hence
 //! **bit-identical to the single-threaded engine regardless of shard
-//! count or stealing** — pinned by the `shard_count_invariance`,
+//! count** — pinned by the `shard_count_invariance`,
 //! `keyed_stateful_shard_invariance`,
 //! `ungrouped_aggregate_partials_match_single_threaded`, and
 //! `grouped_partials_match_single_threaded` properties (stateless,
 //! keyed-stateful, and grouped/ungrouped partial-aggregate plan shapes ×
-//! batch caps 1/7/64/1024 × shard counts 1/2/4/8 × both partition modes
-//! × stealing on/off, strict sequence equality; with stealing off the
-//! whole work-counter snapshot must also replay exactly), a 100-seed
-//! concurrency soak, and a skewed-key soak in `tests/shard_exec.rs`.
+//! batch caps 1/7/64/1024 × shard counts 1/2/4/8 × both partition modes,
+//! strict sequence equality), a 100-seed concurrency soak, and a
+//! skewed-key soak in `tests/shard_exec.rs`. The schedule is fixed by
+//! the partition, so every work counter replays exactly too.
 //!
 //! Per-worker load is observable ([`engine::DsmsEngine::shard_stats`] —
-//! executing-worker attribution, near-balanced under stealing;
-//! [`engine::StreamStats::shard_rows`] — home placement, where skew stays
-//! visible; the `shard_batches` / `shard_merge_rows` / `keyed_shard_rows`
-//! / morsel work counters) and aggregates into the same per-node totals
-//! the measured cost model reads, so [`cost::CostModel::measured`] prices
+//! per home shard, so key skew shows as load skew;
+//! [`engine::StreamStats::shard_rows`] — rows placed per home shard; the
+//! `shard_batches` / `shard_merge_rows` / `keyed_shard_rows` /
+//! `morsels_executed` work counters) and aggregates into the same
+//! per-node totals the measured cost model reads, so [`cost::CostModel::measured`] prices
 //! a query's full multi-core load — including the keyed stateful fraction,
 //! which now genuinely runs on the shards — and the admission auction
 //! compares it against [`cost::effective_capacity`] — `shards × per-core
@@ -387,14 +358,15 @@
 //!   keeps serving: kernels are pure functions of per-invocation inputs
 //!   plus per-node state, so a caught invocation cannot corrupt a
 //!   *different* node's state, and surviving-CQ outputs stay bit-identical
-//!   to a fault-free run (pinned per operator kind × shard count ×
-//!   stealing in `tests/fault_recovery.rs`). Worker threads
-//!   survive kernel panics — `pool_spawns` stays flat — while an injected
-//!   worker *death* is detected at job granularity: the scheduler's
-//!   desertion flag releases the survivors' advance barrier, the control
-//!   thread drains the dead worker's remaining morsels inline and runs the
-//!   skipped watermark passes partition by partition, and the pool
-//!   respawns the seat before the next flush. [`center::DsmsCenter`]
+//!   to a fault-free run (pinned per operator kind × shard count in
+//!   `tests/fault_recovery.rs`). Worker threads survive kernel panics —
+//!   `pool_spawns` stays flat — while an injected worker *death* is
+//!   claimed at job granularity when the control thread builds the
+//!   flush's jobs: the dying seat's job only unwinds, the control thread
+//!   replays the seat's whole walk inline after the join (credited to
+//!   that shard), and the pool respawns the seat before the next flush.
+//!   Injected faults unwind without calling the panic hook, so they print
+//!   nothing to stderr. [`center::DsmsCenter`]
 //!   absorbs quarantines into the billing layer: the quarantined bidder's
 //!   payment for the day is zeroed and the bidder sits out the next
 //!   auction round (rejected pre-auction with the quarantine report).
@@ -412,7 +384,7 @@
 //! * **Determinism under injected faults.** The [`fault`] harness
 //!   triggers failures at *logical* points — the Nth kernel invocation of
 //!   an operator kind, a poison row identified by content, a worker death
-//!   at job start — never at wall-clock points, so every soak replays
+//!   at its Nth job — never at wall-clock points, so every soak replays
 //!   from its seed. Quarantine resolution runs after the flush/drain
 //!   loop reaches quiescence and removes queries in ascending CQ order;
 //!   shedding picks victims by `(priority, stream name)`; both are pure

@@ -822,8 +822,8 @@ impl QueryNetwork {
             } else if keyed_stateful && node.op.keyed_partial() {
                 // Partial-aggregation member: absorbs rows inside the
                 // shards (per-worker partials, no key needed — every row
-                // folds into whichever worker ran its morsel, legal
-                // because the combine is exact; grouped aggregates at a
+                // folds into its home shard's partial, legal because the
+                // combine is exact; grouped aggregates at a
                 // shard-incompatible key accumulate per group *within*
                 // each worker partition), but its *output* is produced by
                 // the control thread's watermark pass, which combines the

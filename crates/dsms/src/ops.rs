@@ -353,19 +353,6 @@ pub trait Operator: std::fmt::Debug + Send {
         None
     }
 
-    /// Whether the operator's keyed absorption **commutes across input
-    /// batches**: absorbing a flush's units into per-shard state in any
-    /// order produces bit-identical state and eventual emissions. The
-    /// morsel scheduler only lets work stealing reorder a shard's units
-    /// when every keyed stateful member of the plan commutes; otherwise
-    /// the shard's units run as one sequential chain. Joins never commute
-    /// (the probe/insert interleave determines match order and content);
-    /// aggregates commute exactly when their accumulator combines exactly
-    /// (counts, `i128` integer arithmetic, min/max).
-    fn keyed_commutative(&self) -> bool {
-        false
-    }
-
     /// Whether the operator can run as a **partial-aggregation** member
     /// of the keyed parallel plan: workers fold rows into per-worker
     /// partial accumulators ([`KeyedKernel::process_keyed`] with the
@@ -2090,10 +2077,6 @@ impl Operator for AggregateOp {
         // column 1: (window_end, group, agg).
         let key = in_keys.first().copied().flatten()?;
         (self.group_by == Some(key)).then_some(1)
-    }
-
-    fn keyed_commutative(&self) -> bool {
-        self.combine_exact()
     }
 
     fn keyed_partial(&self) -> bool {

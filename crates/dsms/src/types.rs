@@ -1359,17 +1359,17 @@ pub mod work {
         /// Jobs dispatched to (and woken on) pooled workers — one per
         /// shard per parallel flush.
         pool_wakeups => count_pool_wakeup();
-        /// Morsels (batch-sized work items) executed by workers — counts
-        /// both locally popped and stolen morsels, so the sum across
-        /// workers equals the morsels scheduled per flush.
+        /// Shard walks executed: one per (flush, shard) that had units or
+        /// closed windows, plus one per dead-seat walk the control thread
+        /// replays.
         morsels_executed => count_morsel_executed();
-        /// Morsels an idle worker stole from the tail of another worker's
-        /// deque — nonzero under skewed key distributions, where stealing
-        /// rebalances a hot shard's backlog onto idle cores.
-        morsels_stolen => count_morsel_stolen();
-        /// Steal attempts that found the victim's deque empty — a measure
-        /// of wasted scans while draining the flush's final morsels.
-        steal_misses => count_steal_miss();
+        /// Always zero. It counted morsels stolen between worker deques by
+        /// a scheduler the engine no longer has; the field stays so readers
+        /// of the full counter set keep compiling.
+        morsels_stolen;
+        /// Always zero. It counted empty steal attempts of the same removed
+        /// scheduler.
+        steal_misses;
         /// Rows dropped by the overload guardrail: whole ingestion batches
         /// shed, lowest-priority stream first, when a flush's pending rows
         /// exceed the configured ingress budget. Shedding runs *before*
@@ -1402,11 +1402,10 @@ pub mod work {
         /// controller the engine no longer has; the field stays so readers
         /// of the full counter set keep compiling.
         adaptive_resizes;
-        /// Chain morsels scheduled for order-sensitive keyed plans — the
-        /// serialized fallback that keeps non-commutative stateful
-        /// operators ordered. A fully commutative plan (including grouped
-        /// exact partials) keeps this at zero.
-        chain_morsels => count_chain_morsel();
+        /// Always zero. It counted the order-sensitive chain morsels of the
+        /// removed scheduler; every shard now runs one walk per flush
+        /// (counted by `morsels_executed`).
+        chain_morsels;
         /// Rows absorbed into per-worker **grouped** hash partials of
         /// shard-incompatible exact aggregates — grouped work that used to
         /// serialize behind the merge barrier.

@@ -639,8 +639,9 @@ proptest! {
     /// whose float column carries NaN rows: every comparison path (the
     /// per-row interpreter, the columnar kernels with the SIMD lane loops,
     /// and the columnar kernels with SIMD off) drops NaN rows identically,
-    /// across batch caps 1/7/64/1024 and shards × stealing. Both mixed operand orders (Int op Float, Float op Int)
-    /// and all six comparison operators are covered.
+    /// across batch caps 1/7/64/1024 and shard counts. Both mixed operand
+    /// orders (Int op Float, Float op Int) and all six comparison operators
+    /// are covered.
     #[test]
     fn nan_rows_drop_identically_everywhere(
         raw in proptest::collection::vec((0u64..500, 0usize..3, 1u32..30_000, 0u8..5), 1..60),
@@ -678,12 +679,12 @@ proptest! {
 
         for &cap in &[1usize, 7, 64, 1024] {
             let reference = cqac_dsms::ops::with_columnar_kernels(false, || {
-                run_ticks_sharded(&plan, &feed, cap, 1, true)
+                run_ticks_sharded(&plan, &feed, cap, 1)
             });
             for simd in simd_modes() {
                 let col = cqac_dsms::ops::with_columnar_kernels(true, || {
                     cqac_dsms::ops::with_simd_kernels(simd, || {
-                        run_ticks_sharded(&plan, &feed, cap, 1, true)
+                        run_ticks_sharded(&plan, &feed, cap, 1)
                     })
                 });
                 prop_assert_eq!(
@@ -695,14 +696,11 @@ proptest! {
                 if shards == 1 {
                     continue;
                 }
-                for stealing in stealing_modes() {
-                    let got = run_ticks_sharded(&plan, &feed, cap, shards, stealing);
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "NaN rows diverged at shards {} (stealing {}) cap {}",
-                        shards, stealing, cap
-                    );
-                }
+                let got = run_ticks_sharded(&plan, &feed, cap, shards);
+                prop_assert_eq!(
+                    &got, &reference,
+                    "NaN rows diverged at shards {} cap {}", shards, cap
+                );
             }
         }
     }
@@ -718,7 +716,7 @@ proptest! {
     /// `DICT_MAX_CARDINALITY` (decayed back to plain `Str` columns): the
     /// columnar and row kernels agree across batch caps and SIMD modes,
     /// and the sharded engine replays the single-threaded run across
-    /// shards × partition modes × stealing with identical
+    /// shards × partition modes with identical
     /// `tuples_processed` — the encoding is a representation choice, never
     /// an observable one.
     #[test]
@@ -783,17 +781,13 @@ proptest! {
                 continue;
             }
             for hash_key in partition_modes() {
-                for stealing in stealing_modes() {
-                    let (got, work) =
-                        run_sharded_morsel(&plan, &feed, 7, shards, hash_key, stealing);
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "dict/str plan kind {} diverged at shards {} \
-                         (hash_key {}, stealing {}, wide {})",
-                        kind, shards, hash_key, stealing, wide
-                    );
-                    prop_assert_eq!(work, ref_work);
-                }
+                let (got, work) = run_sharded(&plan, &feed, 7, shards, hash_key);
+                prop_assert_eq!(
+                    &got, &reference,
+                    "dict/str plan kind {} diverged at shards {} (hash_key {}, wide {})",
+                    kind, shards, hash_key, wide
+                );
+                prop_assert_eq!(work, ref_work);
             }
         }
     }
@@ -831,14 +825,6 @@ fn partition_modes() -> Vec<bool> {
     }
 }
 
-/// The work-stealing axis of the shard-invariance suites: every run
-/// goes with idle-worker stealing both off (workers execute exactly their
-/// home deques) and on (morsels migrate to whichever worker grabs them —
-/// outputs must not notice).
-fn stealing_modes() -> [bool; 2] {
-    [false, true]
-}
-
 /// SIMD kernel modes exercised by the kernel-equivalence and
 /// shard-invariance suites (the `ops::set_simd_kernels` kill switch).
 /// `CQAC_SIMD` — `on`, `off`, or `both` (default) — selects the axis so
@@ -856,20 +842,18 @@ fn simd_modes() -> Vec<bool> {
 
 /// Runs `plan` (registered twice, so sharing is exercised) over `feed` on
 /// an engine with the given shard count, optionally hash-partitioning both
-/// streams on the symbol column, with stealing on or off. Returns the
-/// outputs and the machine-independent work measure.
-fn run_sharded_morsel(
+/// streams on the symbol column. Returns the outputs and the
+/// machine-independent work measure.
+fn run_sharded(
     plan: &LogicalPlan,
     feed: &[(String, Tuple)],
     max_batch: usize,
     shards: usize,
     hash_key: bool,
-    stealing: bool,
 ) -> (Vec<Tuple>, u64) {
     let mut e = engine();
     e.set_max_batch_size(max_batch);
     e.set_shards(shards);
-    e.set_stealing(stealing);
     if hash_key {
         e.set_shard_key("quotes", 0).unwrap();
         e.set_shard_key("news", 0).unwrap();
@@ -881,17 +865,6 @@ fn run_sharded_morsel(
     let out = e.take_outputs(q1);
     assert_eq!(out, e.take_outputs(q2), "shared queries must agree");
     (out, e.tuples_processed())
-}
-
-/// [`run_sharded_morsel`] at the engine's default stealing setting.
-fn run_sharded(
-    plan: &LogicalPlan,
-    feed: &[(String, Tuple)],
-    max_batch: usize,
-    shards: usize,
-    hash_key: bool,
-) -> (Vec<Tuple>, u64) {
-    run_sharded_morsel(plan, feed, max_batch, shards, hash_key, true)
 }
 
 proptest! {
@@ -936,21 +909,19 @@ proptest! {
                     continue;
                 }
                 for hash_key in partition_modes() {
-                    for stealing in stealing_modes() {
-                        for simd in simd_modes() {
-                            let (got, work) = cqac_dsms::ops::with_simd_kernels(simd, || {
-                                run_sharded_morsel(&plan, &feed, cap, shards, hash_key, stealing)
-                            });
-                            prop_assert_eq!(
-                                &got, &reference,
-                                "shards {} (hash_key {}, stealing {}, simd {}) diverged at cap {}",
-                                shards, hash_key, stealing, simd, cap
-                            );
-                            prop_assert_eq!(
-                                work, ref_work,
-                                "per-row work must be shard-count invariant (shards {})", shards
-                            );
-                        }
+                    for simd in simd_modes() {
+                        let (got, work) = cqac_dsms::ops::with_simd_kernels(simd, || {
+                            run_sharded(&plan, &feed, cap, shards, hash_key)
+                        });
+                        prop_assert_eq!(
+                            &got, &reference,
+                            "shards {} (hash_key {}, simd {}) diverged at cap {}",
+                            shards, hash_key, simd, cap
+                        );
+                        prop_assert_eq!(
+                            work, ref_work,
+                            "per-row work must be shard-count invariant (shards {})", shards
+                        );
                     }
                 }
             }
@@ -1034,19 +1005,17 @@ proptest! {
                     continue;
                 }
                 for hash_key in partition_modes() {
-                    for stealing in stealing_modes() {
-                        for simd in simd_modes() {
-                            let (got, work) = cqac_dsms::ops::with_simd_kernels(simd, || {
-                                run_sharded_morsel(&plan, &feed, cap, shards, hash_key, stealing)
-                            });
-                            prop_assert_eq!(
-                                &got, &reference,
-                                "keyed stateful plan kind {} diverged at shards {} \
-                                 (hash_key {}, stealing {}, simd {}) cap {}",
-                                kind, shards, hash_key, stealing, simd, cap
-                            );
-                            prop_assert_eq!(work, ref_work);
-                        }
+                    for simd in simd_modes() {
+                        let (got, work) = cqac_dsms::ops::with_simd_kernels(simd, || {
+                            run_sharded(&plan, &feed, cap, shards, hash_key)
+                        });
+                        prop_assert_eq!(
+                            &got, &reference,
+                            "keyed stateful plan kind {} diverged at shards {} \
+                             (hash_key {}, simd {}) cap {}",
+                            kind, shards, hash_key, simd, cap
+                        );
+                        prop_assert_eq!(work, ref_work);
                     }
                 }
             }
@@ -1110,13 +1079,11 @@ fn run_ticks_sharded(
     feed: &[Tuple],
     max_batch: usize,
     shards: usize,
-    stealing: bool,
 ) -> Vec<Tuple> {
     let mut e = DsmsEngine::new();
     e.register_stream("ticks", tick_schema());
     e.set_max_batch_size(max_batch);
     e.set_shards(shards);
-    e.set_stealing(stealing);
     e.set_shard_key("ticks", 0).unwrap();
     let cq = e.add_query(plan.clone()).unwrap();
     for chunk in feed.chunks(max_batch.max(1) * 2) {
@@ -1136,8 +1103,8 @@ proptest! {
     /// members — per-worker partials folded in deterministic partition
     /// order on the control thread; float Sum/Avg are inexact and keep
     /// the merge barrier. Either path must be **bit-identical** to the
-    /// single-threaded engine across shard counts × stealing on/off, including windows that close empty along sparse
-    /// stretches of the feed.
+    /// single-threaded engine across shard counts, including windows that
+    /// close empty along sparse stretches of the feed.
     #[test]
     fn ungrouped_aggregate_partials_match_single_threaded(
         raw in proptest::collection::vec((0u64..500, 0usize..3, 1u32..30_000), 1..60),
@@ -1170,20 +1137,17 @@ proptest! {
         let plan = plan.aggregate(None, funcs[func], col, window);
 
         for &cap in &[1usize, 7, 64] {
-            let reference = run_ticks_sharded(&plan, &feed, cap, 1, true);
+            let reference = run_ticks_sharded(&plan, &feed, cap, 1);
             for &shards in &shard_counts() {
                 if shards == 1 {
                     continue;
                 }
-                for stealing in stealing_modes() {
-                    let got = run_ticks_sharded(&plan, &feed, cap, shards, stealing);
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "ungrouped {:?} over col {} diverged at shards {} \
-                         (stealing {}) cap {}",
-                        funcs[func], col, shards, stealing, cap
-                    );
-                }
+                let got = run_ticks_sharded(&plan, &feed, cap, shards);
+                prop_assert_eq!(
+                    &got, &reference,
+                    "ungrouped {:?} over col {} diverged at shards {} cap {}",
+                    funcs[func], col, shards, cap
+                );
             }
         }
     }
@@ -1202,9 +1166,9 @@ proptest! {
     /// **strictly equal output sequence** to the single-threaded engine
     /// (same rows, same order, same windows closing empty along sparse
     /// stretches) across group-key cardinalities 1/8/1000 × aggregate
-    /// kinds × shard counts × stealing on/off. With stealing off the
-    /// schedule itself is deterministic, so two identical runs must also
-    /// agree on the *entire* work-counter snapshot.
+    /// kinds × shard counts. The schedule is fixed by the partition, so
+    /// two identical runs must also agree on the *entire* work-counter
+    /// snapshot.
     #[test]
     fn grouped_partials_match_single_threaded(
         raw in proptest::collection::vec((0u64..400, 0usize..1000, 1u32..30_000), 1..60),
@@ -1236,28 +1200,25 @@ proptest! {
         let plan = LogicalPlan::source("ticks").aggregate(Some(1), funcs[func], col, window);
 
         for &cap in &[1usize, 7, 64] {
-            let reference = run_ticks_sharded(&plan, &feed, cap, 1, true);
+            let reference = run_ticks_sharded(&plan, &feed, cap, 1);
             for &shards in &shard_counts() {
                 if shards == 1 {
                     continue;
                 }
-                for stealing in stealing_modes() {
-                    let got = run_ticks_sharded(&plan, &feed, cap, shards, stealing);
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "grouped {:?} over col {} (card {}) diverged at shards {} \
-                         (stealing {}) cap {}",
-                        funcs[func], col, card, shards, stealing, cap
-                    );
-                }
+                let got = run_ticks_sharded(&plan, &feed, cap, shards);
+                prop_assert_eq!(
+                    &got, &reference,
+                    "grouped {:?} over col {} (card {}) diverged at shards {} cap {}",
+                    funcs[func], col, card, shards, cap
+                );
                 let pinned = || {
                     work::reset();
-                    run_ticks_sharded(&plan, &feed, cap, shards, false);
+                    run_ticks_sharded(&plan, &feed, cap, shards);
                     work::snapshot()
                 };
                 prop_assert_eq!(
                     pinned(), pinned(),
-                    "stealing off: the work trace must replay exactly at shards {} cap {}",
+                    "the work trace must replay exactly at shards {} cap {}",
                     shards, cap
                 );
             }
@@ -1285,7 +1246,7 @@ fn sharded_int_sum_partials_are_exact_past_2_pow_53() {
         })
         .collect();
     let plan = LogicalPlan::source("ticks").aggregate(None, AggFunc::Sum, 1, 100);
-    let out = run_ticks_sharded(&plan, &feed, 1, 4, true);
+    let out = run_ticks_sharded(&plan, &feed, 1, 4);
     assert_eq!(out.len(), 1);
     assert_eq!(
         out[0].values[1],

@@ -409,80 +409,63 @@ fn pool_reuse_zero_spawns_after_warmup() {
         after_warmup.pool_wakeups + flushes * 4,
         "each flush wakes each shard's worker exactly once"
     );
-    // The morsel scheduler runs on the same parked workers: morsels were
-    // executed, every executed morsel is either popped from the owner's
-    // deque or stolen from a victim's tail, and steal sweeps are bounded
-    // (at most shards-1 misses per grab plus one parking sweep per
-    // wakeup) — morsel-driven flushes never spawn or spin.
+    // Each woken worker makes at most one walk over its shard per flush.
+    let walks = snap.morsels_executed - after_warmup.morsels_executed;
+    assert!(walks > 0, "sharded flushes walk their shards: {snap:?}");
     assert!(
-        snap.morsels_executed > 0,
-        "sharded flushes execute as morsels: {snap:?}"
-    );
-    assert!(
-        snap.morsels_stolen <= snap.morsels_executed,
-        "steals are a subset of executed morsels: {snap:?}"
-    );
-    assert!(
-        snap.steal_misses <= (snap.morsels_executed + snap.pool_wakeups) * 3,
-        "steal sweeps are bounded — no spinning on empty deques: {snap:?}"
+        walks <= flushes * 4,
+        "at most one walk per shard per flush: {snap:?}"
     );
 }
 
-/// Every round-robin morsel carries exactly one work unit: a keyless
-/// stream feeding a stateless prefix at shards = 4 executes one morsel per
-/// ingested batch, with stealing on and off.
+/// A keyless stream feeding a stateless prefix at shards = 4 makes one
+/// walk per (flush, shard that got units): round-robin placement puts a
+/// flush's batches on `min(batches, 4)` distinct shards, and each of
+/// those shards walks all of its batches at once.
 #[test]
-fn keyless_morsels_carry_one_batch_each() {
-    for stealing in [false, true] {
-        let mut e = engine()
-            .with_max_batch_size(8)
-            .with_shards(4)
-            .with_stealing(stealing);
-        let high =
-            LogicalPlan::source("quotes").filter(Expr::col(1).gt(Expr::lit(Value::Float(100.0))));
-        let cq = e.add_query(high).unwrap();
-        let mut rng = Lcg(31);
-        work::reset();
-        let mut batches = 0u64;
-        for call in 0..10u64 {
-            let rows: Vec<Tuple> = (0..37)
-                .map(|i| {
-                    Tuple::new(
-                        call * 40 + i,
-                        vec![
-                            Value::str(SYMS[rng.below(4) as usize]),
-                            Value::Float(rng.below(200) as f64),
-                        ],
-                    )
-                })
-                .collect();
-            // The batch cap splits each call into ceil(37 / 8) batches.
-            batches += rows.len().div_ceil(8) as u64;
-            e.push_rows("quotes", rows);
-        }
-        e.finish();
-        let snap = work::snapshot();
-        assert_eq!(
-            snap.morsels_executed, batches,
-            "one morsel per ingested batch (stealing {stealing}): {snap:?}"
-        );
-        assert_eq!(snap.chain_morsels, 0, "keyless morsels never chain");
-        assert!(!e.take_outputs(cq).is_empty(), "the filter passes rows");
+fn keyless_walks_one_per_flush_and_shard() {
+    let mut e = engine().with_max_batch_size(8).with_shards(4);
+    let high =
+        LogicalPlan::source("quotes").filter(Expr::col(1).gt(Expr::lit(Value::Float(100.0))));
+    let cq = e.add_query(high).unwrap();
+    let mut rng = Lcg(31);
+    work::reset();
+    let mut walks = 0u64;
+    for call in 0..10u64 {
+        // 17 rows at batch cap 8: three batches per call, so every
+        // flush leaves one shard without units.
+        let rows: Vec<Tuple> = (0..17)
+            .map(|i| {
+                Tuple::new(
+                    call * 40 + i,
+                    vec![
+                        Value::str(SYMS[rng.below(4) as usize]),
+                        Value::Float(rng.below(200) as f64),
+                    ],
+                )
+            })
+            .collect();
+        walks += (rows.len().div_ceil(8) as u64).min(4);
+        e.push_rows("quotes", rows);
     }
+    e.finish();
+    let snap = work::snapshot();
+    assert_eq!(
+        snap.morsels_executed, walks,
+        "one walk per flush and shard with units: {snap:?}"
+    );
+    assert!(!e.take_outputs(cq).is_empty(), "the filter passes rows");
 }
 
-/// Keyless units stay one-unit morsels beside chain morsels: quotes keyed
-/// on symbol feed a float `Avg` grouped by symbol (order-sensitive, so the
-/// keyed units chain per home shard), while keyless news feeds a filter.
-/// Every executed morsel is either a chain or one news batch, and the
-/// outputs match the single-threaded run, with stealing on and off.
+/// Keyless units share their shard's walk with keyed units: quotes keyed
+/// on symbol feed a float `Avg` grouped by symbol, while keyless news
+/// feeds a filter. Every flush advances the `Avg` windows, so every shard
+/// walks exactly once per flush, and the outputs match the
+/// single-threaded run.
 #[test]
-fn keyless_units_never_chain() {
-    let run = |shards: usize, stealing: bool| {
-        let mut e = engine()
-            .with_max_batch_size(8)
-            .with_shards(shards)
-            .with_stealing(stealing);
+fn keyless_units_share_the_shard_walk() {
+    let run = |shards: usize| {
+        let mut e = engine().with_max_batch_size(8).with_shards(shards);
         e.set_shard_key("quotes", 0).unwrap();
         let cqs = [
             LogicalPlan::source("quotes").aggregate(Some(0), AggFunc::Avg, 1, 50),
@@ -506,25 +489,26 @@ fn keyless_units_never_chain() {
         let snap = work::snapshot();
         (cqs.map(|cq| e.take_outputs(cq)), snap)
     };
-    let (reference, _) = run(1, false);
+    let (reference, _) = run(1);
     assert!(reference.iter().all(|out| !out.is_empty()));
-    for stealing in [false, true] {
-        let (outputs, snap) = run(4, stealing);
-        assert!(snap.chain_morsels > 0, "the float Avg chains: {snap:?}");
-        assert_eq!(
-            snap.morsels_executed,
-            snap.chain_morsels + 20,
-            "one morsel per news batch beside the chains (stealing {stealing}): {snap:?}"
-        );
-        assert_eq!(outputs, reference, "stealing {stealing}");
-    }
+    let (outputs, snap) = run(4);
+    assert_eq!(
+        snap.pool_wakeups,
+        20 * 4,
+        "two flushes per call, one wakeup per shard: {snap:?}"
+    );
+    assert_eq!(
+        snap.morsels_executed, snap.pool_wakeups,
+        "one walk per shard per flush: {snap:?}"
+    );
+    assert_eq!(outputs, reference);
 }
 
 /// A zipf-flavored hot-key soak at shards = 4: ~90% of rows carry one
-/// symbol, so hash partitioning floods one home shard. Work stealing must
-/// rebalance execution (stolen morsels observed at fine granularity)
-/// while outputs stay byte-identical to single-threaded — and identical
-/// with stealing disabled.
+/// symbol, so hash partitioning floods one home shard. Outputs stay
+/// byte-identical to single-threaded, and the schedule is fixed by the
+/// partition, so two identical runs replay the entire work-counter
+/// snapshot.
 #[test]
 fn skewed_key_soak_shards4_stays_deterministic() {
     let feed = |rng: &mut Lcg, len: usize| -> Vec<(String, Tuple)> {
@@ -549,11 +533,8 @@ fn skewed_key_soak_shards4_stays_deterministic() {
         feed.sort_by_key(|(_, t)| t.ts);
         feed
     };
-    let run = |feed: &[(String, Tuple)], shards: usize, stealing: bool| {
-        let mut e = engine()
-            .with_max_batch_size(8)
-            .with_shards(shards)
-            .with_stealing(stealing);
+    let run = |feed: &[(String, Tuple)], shards: usize| {
+        let mut e = engine().with_max_batch_size(8).with_shards(shards);
         e.set_shard_key("quotes", 0).unwrap();
         e.set_shard_key("news", 0).unwrap();
         let cqs: Vec<_> = keyed_stateful_plans()
@@ -572,24 +553,20 @@ fn skewed_key_soak_shards4_stays_deterministic() {
     for seed in 0..8u64 {
         let mut rng = Lcg(seed.wrapping_mul(0x5851_f42d).wrapping_add(43));
         let feed = feed(&mut rng, 320);
-        let (reference, _) = run(&feed, 1, true);
+        let (reference, _) = run(&feed, 1);
         assert!(
             reference.iter().any(|out| !out.is_empty()),
             "seed {seed}: the soak must produce output"
         );
-        let (stolen_out, snap) = run(&feed, 4, true);
-        let (fair_out, _) = run(&feed, 4, false);
+        let (outputs, snap) = run(&feed, 4);
+        let (_, replay) = run(&feed, 4);
         assert_eq!(
-            stolen_out, reference,
-            "seed {seed}: stealing must not change outputs"
+            outputs, reference,
+            "seed {seed}: sharding must not change outputs"
         );
         assert_eq!(
-            fair_out, reference,
-            "seed {seed}: no-steal sharding must not change outputs"
-        );
-        assert!(
-            snap.morsels_stolen > 0,
-            "seed {seed}: idle workers must steal the hot shard's backlog: {snap:?}"
+            snap, replay,
+            "seed {seed}: the work trace must replay exactly"
         );
     }
 }

@@ -4,10 +4,9 @@
 //! distribution is skewed: the shard owning the hot keys backs up while
 //! the others idle. This module generates deterministic event streams
 //! whose key column follows a bounded [`Zipf`] distribution (`skew = 0`
-//! recovers the uniform control), for benchmarks and soak tests of
-//! load-rebalancing schedulers — the `hot_key_skew` bench group drives
-//! the engine's morsel scheduler with them and asserts that work
-//! stealing rebalances the hot shard's backlog.
+//! recovers the uniform control), for benchmarks and soak tests of the
+//! sharded executor — the `hot_key_skew` bench group drives the engine
+//! with them and asserts that the skew shows up in home-shard placement.
 //!
 //! The rows are engine-agnostic `(ts, key, value)` triples: timestamps
 //! ascend one per row (so event-time watermarks advance steadily), keys

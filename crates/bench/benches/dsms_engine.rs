@@ -11,7 +11,10 @@
 //! The `ingest_batch_size` group sweeps the engine's batch-size knob
 //! (1 vs 64 vs 1024) over the shared-network workload: batch size 1
 //! degrades to per-tuple execution, so the sweep tracks the speedup the
-//! batched refactor buys in the perf trajectory.
+//! batched refactor buys in the perf trajectory. Each cap has a row cell
+//! (`push_rows`, converting 20k tuples to columns inside the timed loop)
+//! beside a column cell (`push_columns` of a batch built once outside
+//! it), so the gap between the two is the row→column conversion cost.
 //!
 //! The `operator_fusion` group sweeps the fusion knob at batch 64 over two
 //! workloads: the 32-shared-filter workload deepened into chains
@@ -46,10 +49,11 @@ use cqac_dsms::engine::DsmsEngine;
 use cqac_dsms::expr::Expr;
 use cqac_dsms::plan::{AggFunc, LogicalPlan};
 use cqac_dsms::streams::{news_schema, quote_schema, NewsStream, StockStream};
-use cqac_dsms::types::{DataType, Field, Schema, Tuple, Value};
+use cqac_dsms::types::{DataType, Field, Schema, Tuple, TupleBatch, Value};
 use cqac_workload::{hot_key_rows, HotKeyParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 const SYMBOLS: [&str; 8] = ["IBM", "AAPL", "MSFT", "ORCL", "SAP", "TSM", "AMD", "NVDA"];
 
@@ -73,6 +77,7 @@ fn engine_with(plans: impl IntoIterator<Item = LogicalPlan>) -> DsmsEngine {
 
 fn bench_batch_sizes(c: &mut Criterion) {
     let rows: Vec<Tuple> = StockStream::new(&SYMBOLS, 1, 42).next_batch(20_000);
+    let columns = TupleBatch::from_rows(Arc::new(quote_schema()), rows.clone());
     let mut group = c.benchmark_group("ingest_batch_size");
     group.sample_size(20);
     for cap in [1usize, 64, 1024] {
@@ -87,6 +92,22 @@ fn bench_batch_sizes(c: &mut Criterion) {
                     }));
                     e.set_max_batch_size(cap);
                     e.push_rows("quotes", rows.clone());
+                    black_box((e.tuples_processed(), e.batches_processed()))
+                });
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("shared_32_filters_columns", cap),
+            &cap,
+            |b, &cap| {
+                b.iter(|| {
+                    let mut e = engine_with((0..32).map(|_| {
+                        LogicalPlan::source("quotes")
+                            .filter(Expr::col(1).gt(Expr::lit(Value::Float(100.0))))
+                    }));
+                    e.set_max_batch_size(cap);
+                    // A pointer clone: the engine only reads the columns.
+                    e.push_columns("quotes", columns.clone());
                     black_box((e.tuples_processed(), e.batches_processed()))
                 });
             },
@@ -479,7 +500,6 @@ fn bench_operators(c: &mut Criterion) {
 fn bench_fault_recovery(c: &mut Criterion) {
     use cqac_dsms::engine::OverloadPolicy;
     use cqac_dsms::fault::FaultPlan;
-    use std::sync::Arc;
 
     let rows: Vec<Tuple> = StockStream::new(&SYMBOLS, 1, 42).next_batch(20_000);
     let build = |shards: usize| {

@@ -43,8 +43,11 @@
 //!   replay them, in order, ahead of newly arriving data.
 //!
 //! [`DsmsEngine::push`] survives as the one-tuple convenience wrapper;
-//! [`DsmsEngine::push_batch`] / [`DsmsEngine::push_rows`] are the primary
-//! ingestion paths.
+//! [`DsmsEngine::push_batch`] / [`DsmsEngine::push_rows`] /
+//! [`DsmsEngine::push_columns`] are the primary ingestion paths. The last
+//! two share one private enqueue step that cuts an oversize batch into
+//! cap-sized chunks in a single linear pass
+//! ([`TupleBatch::into_chunks`]).
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 use crate::fault::{FaultPlan, WorkerDeath};
@@ -71,9 +74,10 @@ fn validate_shard_key(schema: &Schema, stream: &str, column: usize) -> Result<()
 
 /// A structured ingestion failure — what the fallible ingestion paths
 /// ([`DsmsEngine::try_push`] / [`DsmsEngine::try_push_rows`] /
-/// [`DsmsEngine::try_push_batch`]) return instead of panicking. The
-/// panicking wrappers delegate here and panic with the [`Display`]
-/// rendering, so the hardening message cannot drift between paths.
+/// [`DsmsEngine::try_push_columns`] / [`DsmsEngine::try_push_batch`])
+/// return instead of panicking. The panicking wrappers delegate here and
+/// panic with the [`Display`] rendering, so the hardening message cannot
+/// drift between paths.
 ///
 /// [`Display`]: std::fmt::Display
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,6 +92,9 @@ pub enum IngestError {
         /// The stream whose schema was violated.
         stream: String,
         /// Index of the offending row among the rows of the failed call.
+        /// The columnar path ([`DsmsEngine::try_push_columns`]) checks a
+        /// batch's shape as a whole — column count, types and lengths —
+        /// and reports `0`.
         row: usize,
     },
 }
@@ -145,7 +152,7 @@ pub struct QuarantineEvent {
 type QueueEntries = VecDeque<(usize, Arc<TupleBatch>, Option<Arc<Vec<u32>>>)>;
 
 /// Per-stream ingestion statistics (for cost estimation).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Tuples pushed into the stream.
     pub count: u64,
@@ -654,49 +661,29 @@ impl DsmsEngine {
     }
 
     /// Pushes a whole column of rows for one stream — the fallible twin
-    /// of [`DsmsEngine::push_rows`]. Validates every row against the
-    /// stream's schema before buffering anything, so on error no row of
-    /// the call is ingested and no statistics move.
+    /// of [`DsmsEngine::push_rows`]. Checks the stream, then validates every
+    /// row against its schema before buffering anything, so on error no row
+    /// of the call is ingested and no statistics move (an unknown stream is
+    /// an error even for an empty call, as in [`DsmsEngine::try_push`]).
     pub fn try_push_rows(&mut self, stream: &str, rows: Vec<Tuple>) -> Result<(), IngestError> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let Some(schema) = self.network.stream_schema_arc(stream) else {
-            return Err(IngestError::UnknownStream {
-                stream: stream.to_string(),
-            });
-        };
-        let schema = schema.clone();
+        let schema = self.checked_schema(stream)?;
         if let Some(row) = rows.iter().position(|t| !t.conforms_to(&schema)) {
             return Err(IngestError::NonConforming {
                 stream: stream.to_string(),
                 row,
             });
         }
-        let stats = self.stream_stats.entry(stream.to_string()).or_default();
-        for t in &rows {
-            stats.note(t.ts);
-        }
-        let mut batch = TupleBatch::from_rows(schema, rows);
-        let buffer = if self.holding {
-            &mut self.held
-        } else {
-            &mut self.ingest
-        };
-        while batch.len() > self.max_batch_size {
-            let rest = batch.split_off(self.max_batch_size);
-            buffer.push_back((stream.to_string(), std::mem::replace(&mut batch, rest)));
-        }
-        buffer.push_back((stream.to_string(), batch));
-        if !self.holding {
-            self.run_until_quiescent();
-        }
+        self.enqueue(stream, TupleBatch::from_rows(schema, rows));
         Ok(())
     }
 
     /// Pushes a whole column of rows for one stream — the zero-overhead
     /// batched path (no per-tuple stream-name matching) — and processes to
-    /// quiescence.
+    /// quiescence. A row adapter over the columnar path: the rows become
+    /// one [`TupleBatch::from_rows`] batch, exactly what
+    /// [`DsmsEngine::push_columns`] would buffer for the same data. Ingest
+    /// costs O(rows × columns): one scatter into columns, and one more
+    /// copy when the call exceeds the batch cap and is cut into chunks.
     ///
     /// # Panics
     /// Panics on an unknown stream or non-conforming row — use
@@ -704,6 +691,89 @@ impl DsmsEngine {
     pub fn push_rows(&mut self, stream: &str, rows: Vec<Tuple>) {
         self.try_push_rows(stream, rows)
             .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Pushes a columnar batch into one stream — the fallible twin of
+    /// [`DsmsEngine::push_columns`]. The batch must have one column per
+    /// stream field, of the field's type, each as long as the timestamp
+    /// vector; a batch that does not fit returns
+    /// [`IngestError::NonConforming`] with `row: 0`, buffers nothing and
+    /// moves no statistics. An unknown stream is an error even for an
+    /// empty batch.
+    pub fn try_push_columns(&mut self, stream: &str, batch: TupleBatch) -> Result<(), IngestError> {
+        let schema = self.checked_schema(stream)?;
+        let conforms = batch.columns().len() == schema.len()
+            && batch
+                .columns()
+                .iter()
+                .zip(&schema.fields)
+                .all(|(c, f)| c.data_type() == f.data_type && c.len() == batch.len());
+        if !conforms {
+            return Err(IngestError::NonConforming {
+                stream: stream.to_string(),
+                row: 0,
+            });
+        }
+        let batch = batch.with_schema(schema).dict_encode_strings();
+        self.enqueue(stream, batch);
+        Ok(())
+    }
+
+    /// Pushes a columnar batch into one stream and processes to quiescence
+    /// — the columnar front door, for producers that already hold columns
+    /// and so never build per-row [`Tuple`]s. The batch is re-owned under
+    /// the stream's schema handle and its plain string columns are
+    /// dictionary-encoded as in [`TupleBatch::from_rows`], so it buffers
+    /// exactly what [`DsmsEngine::push_rows`] would for the same rows.
+    /// Ingest costs O(rows × columns): the string encoding pass, and one
+    /// copy when the batch exceeds the batch cap and is cut into chunks.
+    ///
+    /// # Panics
+    /// Panics on an unknown stream or a batch whose columns do not match
+    /// the stream's schema — use [`DsmsEngine::try_push_columns`] to handle
+    /// both structurally.
+    pub fn push_columns(&mut self, stream: &str, batch: TupleBatch) {
+        self.try_push_columns(stream, batch)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// The registered schema handle of `stream`, or
+    /// [`IngestError::UnknownStream`].
+    fn checked_schema(&self, stream: &str) -> Result<Arc<Schema>, IngestError> {
+        self.network
+            .stream_schema_arc(stream)
+            .cloned()
+            .ok_or_else(|| IngestError::UnknownStream {
+                stream: stream.to_string(),
+            })
+    }
+
+    /// The one multi-row ingestion path behind [`DsmsEngine::try_push_rows`]
+    /// and [`DsmsEngine::try_push_columns`], for a batch already validated
+    /// against `stream`'s schema: notes the stream statistics, cuts the
+    /// batch into cap-sized chunks in one pass
+    /// ([`TupleBatch::into_chunks`]), buffers them (held during a
+    /// transition) and, outside a transition, runs to quiescence. An empty
+    /// batch changes nothing.
+    fn enqueue(&mut self, stream: &str, batch: TupleBatch) {
+        if batch.is_empty() {
+            return;
+        }
+        let stats = self.stream_stats.entry(stream.to_string()).or_default();
+        for &ts in batch.ts() {
+            stats.note(ts);
+        }
+        let buffer = if self.holding {
+            &mut self.held
+        } else {
+            &mut self.ingest
+        };
+        for chunk in batch.into_chunks(self.max_batch_size) {
+            buffer.push_back((stream.to_string(), chunk));
+        }
+        if !self.holding {
+            self.run_until_quiescent();
+        }
     }
 
     /// Advances the watermark to cover `ts`. Every routing path — single
@@ -2226,7 +2296,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::plan::AggFunc;
-    use crate::types::{DataType, Field, Value};
+    use crate::types::{Column, DataType, Field, Value};
 
     fn quote_schema() -> Schema {
         Schema::new(vec![
@@ -2476,6 +2546,79 @@ mod tests {
         assert_eq!(stats.min_ts, 0);
         assert_eq!(stats.max_ts, 4);
         assert_eq!(e.tuples_processed(), 5);
+    }
+
+    /// Rows pushed once at `cap`: the values the ingest chunker copied.
+    fn ingest_copies(cap: usize, n: usize) -> u64 {
+        let mut e = engine_with_quotes().with_max_batch_size(cap);
+        e.add_query(high_filter()).unwrap();
+        let rows = (0..n as u64).map(|i| quote(i, "IBM", 120.0)).collect();
+        work::reset();
+        e.push_rows("quotes", rows);
+        let copied = work::snapshot().ingest_values_copied;
+        assert_eq!(e.tuples_processed(), n as u64);
+        assert_eq!(e.batches_processed(), n.div_ceil(cap) as u64);
+        work::reset();
+        copied
+    }
+
+    #[test]
+    fn ingest_copies_each_value_once_at_every_cap() {
+        for cap in [1usize, 7, 64, 1024] {
+            for n in [0, 1, cap, cap + 1, 10 * cap + 3] {
+                // Two columns plus the timestamp per row, once each; a
+                // push within the cap is buffered whole.
+                let want = if n > cap { 3 * n as u64 } else { 0 };
+                assert_eq!(ingest_copies(cap, n), want, "cap {cap} rows {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn ingest_copies_scale_linearly_with_the_push() {
+        // A split loop that re-copies each remaining tail would copy
+        // Σ tails = O(rows²/cap) and grow 16× here; one pass grows 4×.
+        let one = ingest_copies(64, 5_000);
+        assert_eq!(ingest_copies(64, 20_000), 4 * one);
+    }
+
+    #[test]
+    fn row_and_column_pushes_buffer_identical_batches() {
+        let rows: Vec<Tuple> = (0..23)
+            .map(|i| quote(i, ["IBM", "AAPL", "MSFT"][i as usize % 3], i as f64))
+            .collect();
+        let held = |columnar: bool| {
+            let mut e = engine_with_quotes().with_max_batch_size(5);
+            e.begin_transition();
+            if columnar {
+                // Plain string columns, as a columnar producer builds them.
+                let schema = Arc::new(quote_schema());
+                let ts = rows.iter().map(|t| t.ts).collect();
+                let columns = (0..2)
+                    .map(|c| {
+                        let mut col = Column::with_capacity(schema.fields[c].data_type, rows.len());
+                        rows.iter().for_each(|t| col.push(t.values[c].clone()));
+                        col
+                    })
+                    .collect();
+                e.push_columns("quotes", TupleBatch::from_columns(schema, ts, columns));
+            } else {
+                e.push_rows("quotes", rows.clone());
+            }
+            let schema = e.network.stream_schema_arc("quotes").unwrap().clone();
+            for (_, batch) in &e.held {
+                assert!(
+                    Arc::ptr_eq(batch.schema(), &schema),
+                    "re-owned under the stream's schema"
+                );
+                assert!(
+                    batch.column(0).as_dict().is_some(),
+                    "strings dictionary-encoded"
+                );
+            }
+            (e.held.clone(), e.stream_stats().clone())
+        };
+        assert_eq!(held(true), held(false));
     }
 
     #[test]

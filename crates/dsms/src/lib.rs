@@ -101,14 +101,20 @@
 //! established for `Sum`'s i128 accumulator.
 //!
 //! **Dictionary-encoded strings.** String columns are interned at the
-//! ingestion and merge boundaries ([`types::TupleBatch::from_rows`],
-//! which every `push` path funnels through) into
+//! multi-row ingestion and merge boundaries into
 //! [`types::Column::Dict`] — `u32` codes plus a first-appearance
 //! dictionary of distinct `Arc<str>` values — whenever a batch stays
 //! within [`types::Column::DICT_MAX_CARDINALITY`] distinct strings; wider columns
 //! (and any append/merge that would overflow the cap) decay transparently
-//! to plain `Column::Str`. The representation is invisible to semantics:
-//! `value_at`/`gather`/`split_off`/`append`/`interleave_tagged` and
+//! to plain `Column::Str`. [`engine::DsmsEngine::push_rows`] encodes
+//! through [`types::TupleBatch::from_rows`], and
+//! [`engine::DsmsEngine::push_columns`] encodes the plain string columns
+//! of the batch it is given the same way, so both buffer identical
+//! batches. The per-tuple paths ([`engine::DsmsEngine::push`],
+//! [`engine::DsmsEngine::push_batch`]) append rows through
+//! [`types::TupleBatch::push`] and so buffer **plain** `Column::Str`
+//! batches. The representation is invisible to semantics:
+//! `value`/`take`/`into_chunks`/`append`/`interleave_tagged` and
 //! column equality are bit-identical across encodings, schema inference
 //! still sees [`types::DataType::Str`], and hash partitioning hashes the
 //! decoded bytes. What changes is the work: equality and ordering
@@ -143,9 +149,15 @@
 //!
 //! Per-tuple [`engine::DsmsEngine::push`] survives as a thin wrapper that
 //! appends to the current one-stream ingestion batch;
-//! [`engine::DsmsEngine::push_batch`] (pairs) and
-//! [`engine::DsmsEngine::push_rows`] (one stream, many rows) are the
-//! primary ingestion paths.
+//! [`engine::DsmsEngine::push_batch`] (pairs),
+//! [`engine::DsmsEngine::push_rows`] (one stream, many rows) and
+//! [`engine::DsmsEngine::push_columns`] (one stream, one columnar batch)
+//! are the primary ingestion paths. The last two are one path: the row
+//! API converts to a batch and both hand it to the same enqueue step,
+//! which cuts a batch longer than the cap into cap-sized chunks in one
+//! pass ([`types::TupleBatch::into_chunks`]), so ingest is linear in the
+//! pushed rows whatever the cap
+//! ([`types::work::WorkSnapshot::ingest_values_copied`] pins it).
 //!
 //! ## Operator fusion
 //!

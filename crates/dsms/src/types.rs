@@ -529,21 +529,23 @@ impl Column {
         }
     }
 
-    /// Splits off the rows from index `at` onward (mirrors
-    /// [`Vec::split_off`]). Both halves of a dictionary column keep the
-    /// full dictionary.
-    pub fn split_off(&mut self, at: usize) -> Column {
+    /// Copies the contiguous rows `range` into a new column of exactly
+    /// that length and capacity (the chunking kernel of
+    /// [`TupleBatch::into_chunks`]). A dictionary column keeps the full
+    /// dictionary and its extremes, so codes stay valid and pruning sees
+    /// the same metadata in every chunk.
+    fn slice(&self, range: std::ops::Range<usize>) -> Column {
         match self {
-            Column::Bool(v) => Column::Bool(v.split_off(at)),
-            Column::Int(v) => Column::Int(v.split_off(at)),
-            Column::Float(v) => Column::Float(v.split_off(at)),
-            Column::Str(v) => Column::Str(v.split_off(at)),
+            Column::Bool(v) => Column::Bool(v[range].to_vec()),
+            Column::Int(v) => Column::Int(v[range].to_vec()),
+            Column::Float(v) => Column::Float(v[range].to_vec()),
+            Column::Str(v) => Column::Str(v[range].to_vec()),
             Column::Dict {
                 codes,
                 dict,
                 extremes,
             } => Column::Dict {
-                codes: codes.split_off(at),
+                codes: codes[range].to_vec(),
                 dict: dict.clone(),
                 extremes: *extremes,
             },
@@ -745,16 +747,24 @@ impl TupleBatch {
         for t in rows {
             batch.push(t);
         }
-        // Ingestion boundary: dictionary-encode low-cardinality string
-        // columns once, so every downstream predicate compares u32 codes
-        // and every key extraction hashes each distinct payload once.
-        for col in batch.columns_mut() {
-            if matches!(col, Column::Str(_)) {
-                let plain = std::mem::replace(col, Column::Str(Vec::new()));
-                *col = plain.dict_encode();
+        batch.dict_encode_strings()
+    }
+
+    /// The ingestion boundary's string pass: dictionary-encodes every plain
+    /// [`Column::Str`] column ([`Column::dict_encode`]) once, so every
+    /// downstream predicate compares `u32` codes and every key extraction
+    /// hashes each distinct payload once. A batch without plain string
+    /// columns is returned untouched.
+    pub(crate) fn dict_encode_strings(mut self) -> Self {
+        if self.columns.iter().any(|c| matches!(c, Column::Str(_))) {
+            for col in self.columns_mut() {
+                if matches!(col, Column::Str(_)) {
+                    let plain = std::mem::replace(col, Column::Str(Vec::new()));
+                    *col = plain.dict_encode();
+                }
             }
         }
-        batch
+        self
     }
 
     /// A batch directly from columnar parts (the kernel-output path).
@@ -943,26 +953,46 @@ impl TupleBatch {
         }
     }
 
-    /// Splits off the rows from index `at` onward into a new batch sharing
-    /// the same schema (mirrors [`Vec::split_off`]). Every column splits at
-    /// the same index, preserving the alignment invariant.
-    pub fn split_off(&mut self, at: usize) -> TupleBatch {
-        debug_assert!(at <= self.len(), "split index out of range");
-        let ts = Arc::new(self.ts_mut().split_off(at));
-        let columns = Arc::new(
-            self.columns_mut()
-                .iter_mut()
-                .map(|c| c.split_off(at))
-                .collect(),
-        );
-        let tail = TupleBatch {
-            schema: self.schema.clone(),
-            ts,
-            columns,
-        };
-        self.debug_check_invariants();
-        tail.debug_check_invariants();
-        tail
+    /// Cuts the batch into consecutive chunks of at most `cap` rows, in one
+    /// pass: chunk `i` holds rows `[i·cap, min((i+1)·cap, len))`, copied
+    /// once into vectors of exact capacity, under the same schema handle.
+    /// Dictionary columns keep the whole batch's dictionary and extremes in
+    /// every chunk, so codes and range pruning match the uncut batch.
+    ///
+    /// A batch of at most `cap` rows is returned whole, without copying,
+    /// and an empty batch yields no chunks. Otherwise every timestamp and
+    /// cell is copied exactly once — `len × (columns + 1)` values, counted
+    /// by [`work::WorkSnapshot::ingest_values_copied`] — so the cut is
+    /// linear in the batch size whatever the cap.
+    ///
+    /// # Panics
+    /// Panics when `cap` is zero.
+    pub fn into_chunks(self, cap: usize) -> Vec<TupleBatch> {
+        assert!(cap > 0, "chunk cap must be positive");
+        let n = self.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        if n <= cap {
+            return vec![self];
+        }
+        work::count_ingest_values_copied((n * (self.columns.len() + 1)) as u64);
+        (0..n)
+            .step_by(cap)
+            .map(|start| {
+                let range = start..n.min(start + cap);
+                TupleBatch {
+                    schema: self.schema.clone(),
+                    ts: Arc::new(self.ts[range.clone()].to_vec()),
+                    columns: Arc::new(
+                        self.columns
+                            .iter()
+                            .map(|c| c.slice(range.clone()))
+                            .collect(),
+                    ),
+                }
+            })
+            .collect()
     }
 
     /// Appends all rows of `other` column-wise (must share a
@@ -1418,6 +1448,11 @@ pub mod work {
         /// Batches whose dictionary min/max metadata proved a range
         /// predicate matches no row, skipping the per-row scan entirely.
         dict_batches_pruned => count_dict_batch_pruned();
+        /// Timestamps and cells copied while cutting oversize ingestion
+        /// batches into cap-sized chunks ([`super::TupleBatch::into_chunks`]):
+        /// `rows × (columns + 1)` per batch longer than the engine's batch
+        /// cap, 0 for one that fits — linear in the input, whatever the cap.
+        ingest_values_copied => count_ingest_values_copied(n);
     }
 }
 
@@ -1498,18 +1533,93 @@ mod tests {
     }
 
     #[test]
-    fn batch_split_off_partitions_rows_and_shares_schema() {
-        let mut batch = quote_batch(5);
-        let tail = batch.split_off(2);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(tail.len(), 3);
-        assert!(Arc::ptr_eq(batch.schema(), tail.schema()));
-        assert_eq!(tail.row(0).ts, 20);
-        assert_eq!(batch.max_ts(), Some(10));
-        assert_eq!(tail.max_ts(), Some(40));
-        // Both halves keep every column aligned with the timestamps.
-        assert_eq!(batch.column(1).len(), batch.len());
-        assert_eq!(tail.column(0).len(), tail.len());
+    fn batch_into_chunks_partitions_rows_and_shares_schema() {
+        let batch = quote_batch(5);
+        let chunks = batch.clone().into_chunks(2);
+        assert_eq!(
+            chunks.iter().map(TupleBatch::len).collect::<Vec<_>>(),
+            [2, 2, 1]
+        );
+        assert!(chunks
+            .iter()
+            .all(|c| Arc::ptr_eq(c.schema(), batch.schema())));
+        assert_eq!(chunks[1].row(0).ts, 20);
+        assert_eq!(chunks[0].max_ts(), Some(10));
+        assert_eq!(chunks[2].max_ts(), Some(40));
+        // Every chunk keeps every column aligned with the timestamps.
+        for c in &chunks {
+            assert!(c.columns().iter().all(|col| col.len() == c.len()));
+        }
+    }
+
+    /// A batch of `n` rows over every column layout: `Bool`, `Int`,
+    /// `Float`, a dictionary column (`sym`) and a plain string column
+    /// (`tag`).
+    fn mixed_batch(n: usize) -> TupleBatch {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("flag", DataType::Bool),
+            Field::new("qty", DataType::Int),
+            Field::new("price", DataType::Float),
+            Field::new("sym", DataType::Str),
+            Field::new("tag", DataType::Str),
+        ]));
+        let syms = ["MSFT", "AAPL", "IBM", "ZZZ"];
+        let ts: Vec<u64> = (0..n as u64).map(|i| 3 * i + 1).collect();
+        let columns = vec![
+            Column::Bool((0..n).map(|i| i % 3 == 0).collect()),
+            Column::Int((0..n as i64).map(|i| i * i - 7).collect()),
+            Column::Float((0..n).map(|i| i as f64 / 4.0).collect()),
+            Column::Str((0..n).map(|i| Arc::from(syms[i % syms.len()])).collect()).dict_encode(),
+            Column::Str((0..n).map(|i| Arc::from(format!("t{i}"))).collect()),
+        ];
+        TupleBatch::from_columns(schema, ts, columns)
+    }
+
+    #[test]
+    fn into_chunks_cuts_exact_capacity_chunks_at_every_cap() {
+        for cap in [1usize, 7, 64, 1024] {
+            for n in [0, 1, cap, cap + 1, 10 * cap + 3] {
+                let batch = mixed_batch(n);
+                work::reset();
+                let chunks = batch.clone().into_chunks(cap);
+                let copied = work::snapshot().ingest_values_copied;
+                let want = if n > cap { n as u64 * 6 } else { 0 };
+                assert_eq!(copied, want, "cap {cap} n {n}: values copied");
+                assert_eq!(chunks.len(), n.div_ceil(cap), "cap {cap} n {n}");
+                for (i, chunk) in chunks.iter().enumerate() {
+                    let (lo, hi) = (i * cap, n.min((i + 1) * cap));
+                    let sel: Vec<u32> = (lo as u32..hi as u32).collect();
+                    assert_eq!(*chunk, batch.take(&sel), "cap {cap} n {n} chunk {i}");
+                    assert!(Arc::ptr_eq(chunk.schema(), batch.schema()));
+                    if n <= cap {
+                        continue; // returned whole, never copied
+                    }
+                    assert_eq!(chunk.ts.capacity(), chunk.len(), "ts capacity");
+                    for (c, col) in chunk.columns().iter().enumerate() {
+                        let capacity = match col {
+                            Column::Bool(v) => v.capacity(),
+                            Column::Int(v) => v.capacity(),
+                            Column::Float(v) => v.capacity(),
+                            Column::Str(v) => v.capacity(),
+                            Column::Dict { codes, .. } => codes.capacity(),
+                        };
+                        assert_eq!(capacity, chunk.len(), "cap {cap} n {n} column {c}");
+                    }
+                    // The dictionary column keeps the whole input's
+                    // dictionary and extremes in every chunk.
+                    assert_eq!(
+                        chunk.column(3).as_dict().unwrap().1,
+                        batch.column(3).as_dict().unwrap().1
+                    );
+                    assert_eq!(
+                        chunk.column(3).dict_extreme_codes(),
+                        batch.column(3).dict_extreme_codes()
+                    );
+                    assert!(chunk.column(4).as_strs().is_some(), "plain stays plain");
+                }
+            }
+        }
+        work::reset();
     }
 
     #[test]
@@ -1672,7 +1782,7 @@ mod tests {
         // Distinct values per counter, so a mis-wired field cannot hide
         // behind another's total.
         let foreign = work::WorkSnapshot::from_fn(|i| 2 * i as u64 + 3);
-        assert_eq!(foreign.fields().len(), 24);
+        assert_eq!(foreign.fields().len(), 25);
         work::absorb(&foreign);
         work::absorb(&foreign);
         for ((name, got), (_, one)) in work::snapshot().fields().into_iter().zip(foreign.fields()) {
@@ -1760,18 +1870,22 @@ mod tests {
     }
 
     #[test]
-    fn dict_take_split_append_preserve_rows() {
+    fn dict_take_chunk_append_preserve_rows() {
         let dict = str_col(&["a", "b", "c", "a", "b"]).dict_encode();
         // take: gathers codes, shares the dictionary.
         let taken = dict.take(&[4, 0, 2]);
         assert_eq!(taken, str_col(&["b", "a", "c"]));
         assert!(taken.as_dict().is_some());
-        // split_off: both halves stay dictionary-encoded.
-        let mut head = dict.clone();
-        let tail = head.split_off(2);
-        assert_eq!(head, str_col(&["a", "b"]));
-        assert_eq!(tail, str_col(&["c", "a", "b"]));
-        assert!(head.as_dict().is_some() && tail.as_dict().is_some());
+        // into_chunks: every chunk stays dictionary-encoded.
+        let schema = Arc::new(Schema::new(vec![Field::new("s", DataType::Str)]));
+        let batch = TupleBatch::from_columns(schema, vec![0, 1, 2, 3, 4], vec![dict.clone()]);
+        let chunks = batch.into_chunks(2);
+        let want = [str_col(&["a", "b"]), str_col(&["c", "a"]), str_col(&["b"])];
+        for (chunk, want) in chunks.iter().zip(&want) {
+            assert_eq!(chunk.column(0), want);
+            assert!(chunk.column(0).as_dict().is_some());
+        }
+        assert_eq!(chunks.len(), 3);
         // append dict + dict with different dictionaries: remaps codes.
         let mut left = str_col(&["a", "b"]).dict_encode();
         let right = str_col(&["c", "b"]).dict_encode();

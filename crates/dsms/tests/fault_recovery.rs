@@ -25,7 +25,7 @@ use cqac_dsms::fault::{FaultPlan, INJECTED_PANIC_PREFIX};
 use cqac_dsms::network::CqId;
 use cqac_dsms::ops::OPERATOR_KINDS;
 use cqac_dsms::plan::{AggFunc, LogicalPlan};
-use cqac_dsms::types::{work, DataType, Field, Schema, Tuple, Value};
+use cqac_dsms::types::{work, DataType, Field, Schema, Tuple, TupleBatch, Value};
 use std::sync::Arc;
 
 const SYMS: [&str; 4] = ["IBM", "AAPL", "MSFT", "ORCL"];
@@ -739,6 +739,81 @@ fn try_push_rows_is_atomic() {
         "failed push must not leave partial rows behind"
     );
     assert_eq!(touched.stream_stats()["quotes"].count, 1);
+}
+
+/// An unknown stream is an error on every ingestion path, even for an
+/// empty call: the multi-row paths check the stream before looking at the
+/// rows, exactly like `try_push`.
+#[test]
+fn empty_pushes_into_an_unknown_stream_are_rejected() {
+    let mut e = DsmsEngine::new();
+    e.register_stream("quotes", quote_schema());
+    let unknown = IngestError::UnknownStream {
+        stream: "nope".to_string(),
+    };
+    assert_eq!(e.try_push_rows("nope", vec![]).unwrap_err(), unknown);
+    let empty = TupleBatch::new(Arc::new(quote_schema()));
+    assert_eq!(
+        e.try_push_columns("nope", empty.clone()).unwrap_err(),
+        unknown
+    );
+    // A known stream still accepts an empty call, and nothing moves.
+    e.try_push_rows("quotes", vec![]).unwrap();
+    e.try_push_columns("quotes", empty).unwrap();
+    assert!(e.stream_stats().is_empty());
+    assert_eq!(e.tuples_processed(), 0);
+}
+
+/// `try_push_columns` checks a batch's shape as a whole: an unknown stream
+/// is `UnknownStream`; a wrong column count or type is `NonConforming`
+/// with `row: 0`, and buffers nothing and leaves the statistics alone.
+#[test]
+fn try_push_columns_rejects_misshapen_batches_atomically() {
+    let mut e = DsmsEngine::new();
+    e.register_stream("quotes", quote_schema());
+    e.push_rows("quotes", vec![quote(1, 0, 100)]);
+    let stats = e.stream_stats().clone();
+    let good = TupleBatch::from_rows(Arc::new(quote_schema()), vec![quote(2, 1, 200)]);
+    assert_eq!(
+        e.try_push_columns("nope", good.clone()).unwrap_err(),
+        IngestError::UnknownStream {
+            stream: "nope".to_string()
+        }
+    );
+    let narrow = TupleBatch::from_columns(
+        Arc::new(Schema::new(vec![Field::new("symbol", DataType::Str)])),
+        vec![2],
+        vec![good.column(0).clone()],
+    );
+    let swapped = TupleBatch::from_columns(
+        Arc::new(Schema::new(vec![
+            Field::new("price", DataType::Float),
+            Field::new("symbol", DataType::Str),
+        ])),
+        vec![2],
+        vec![good.column(1).clone(), good.column(0).clone()],
+    );
+    e.begin_transition();
+    for bad in [narrow, swapped] {
+        assert_eq!(
+            e.try_push_columns("quotes", bad).unwrap_err(),
+            IngestError::NonConforming {
+                stream: "quotes".to_string(),
+                row: 0
+            }
+        );
+    }
+    assert_eq!(e.held_tuples(), 0, "a rejected batch buffers nothing");
+    assert_eq!(
+        e.stream_stats(),
+        &stats,
+        "a rejected batch moves no statistics"
+    );
+    // The good batch is held like any other push during a transition.
+    e.try_push_columns("quotes", good).unwrap();
+    assert_eq!(e.held_tuples(), 1);
+    e.end_transition();
+    assert_eq!(e.stream_stats()["quotes"].count, 2);
 }
 
 #[test]

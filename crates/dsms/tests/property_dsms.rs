@@ -2,11 +2,13 @@
 //! implementations, plus the sharing- and transition-correctness
 //! guarantees the paper's system model assumes (§II).
 
-use cqac_dsms::engine::DsmsEngine;
+use cqac_dsms::engine::{DsmsEngine, StreamStats};
 use cqac_dsms::expr::Expr;
 use cqac_dsms::plan::{AggFunc, LogicalPlan};
-use cqac_dsms::types::{DataType, Field, Schema, Tuple, Value};
+use cqac_dsms::types::{Column, DataType, Field, Schema, Tuple, TupleBatch, Value};
 use proptest::prelude::*;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 fn quote_schema() -> Schema {
     Schema::new(vec![
@@ -923,6 +925,117 @@ proptest! {
                             "per-row work must be shard-count invariant (shards {})", shards
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+/// A columnar batch of `rows` with plain (not dictionary-encoded) string
+/// columns — what a producer that builds columns directly would push.
+fn plain_columns(schema: &Schema, rows: &[Tuple]) -> TupleBatch {
+    let columns = schema
+        .fields
+        .iter()
+        .enumerate()
+        .map(|(c, f)| {
+            let mut col = Column::with_capacity(f.data_type, rows.len());
+            for t in rows {
+                col.push(t.values[c].clone());
+            }
+            col
+        })
+        .collect();
+    TupleBatch::from_columns(
+        Arc::new(schema.clone()),
+        rows.iter().map(|t| t.ts).collect(),
+        columns,
+    )
+}
+
+/// What one run of [`run_segments`] observed.
+type SegmentRun = (Vec<Tuple>, HashMap<String, StreamStats>, u64, u64);
+
+/// Runs `plan` (registered twice) over one-stream `segments`, each pushed
+/// as one `push_rows` call or, with `columnar`, as one `push_columns` call
+/// of plain string columns. Returns the outputs, the stream statistics and
+/// the engine's `tuples_processed` / `batches_processed`.
+fn run_segments(
+    plan: &LogicalPlan,
+    segments: &[(&str, Vec<Tuple>)],
+    max_batch: usize,
+    shards: usize,
+    hash_key: bool,
+    columnar: bool,
+) -> SegmentRun {
+    let mut e = engine();
+    e.set_max_batch_size(max_batch);
+    e.set_shards(shards);
+    if hash_key {
+        e.set_shard_key("quotes", 0).unwrap();
+        e.set_shard_key("news", 0).unwrap();
+    }
+    let q1 = e.add_query(plan.clone()).unwrap();
+    let q2 = e.add_query(plan.clone()).unwrap();
+    for (stream, rows) in segments {
+        if columnar {
+            let schema = if *stream == "quotes" {
+                quote_schema()
+            } else {
+                news_schema()
+            };
+            e.push_columns(stream, plain_columns(&schema, rows));
+        } else {
+            e.push_rows(stream, rows.clone());
+        }
+    }
+    e.finish();
+    let out = e.take_outputs(q1);
+    assert_eq!(out, e.take_outputs(q2), "shared queries must agree");
+    let stats = e.stream_stats().clone();
+    (out, stats, e.tuples_processed(), e.batches_processed())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// **Row and column ingest are one path**: the same feed, pushed as
+    /// `push_rows` calls or as `push_columns` calls of plain-string
+    /// batches, gives equal outputs, stream statistics, `tuples_processed`
+    /// and `batches_processed` at every shard count (see [`shard_counts`])
+    /// under both partition modes and batch caps 1/7/64 — the calls run
+    /// past the cap, so the one-pass chunker cuts both alike.
+    #[test]
+    fn row_and_column_pushes_are_equivalent(
+        quotes in quote_stream(200),
+        raw_news in proptest::collection::vec((0u64..500, 0usize..3, 0u8..4), 1..60),
+        pieces in 1usize..4,
+        kind in 0usize..EQUIVALENCE_KINDS,
+        thresh in 1u32..30_000,
+        window in 1u64..100,
+        slide in 1u64..50,
+    ) {
+        let plan = equivalence_plan(kind, thresh, window, slide);
+        let mut news_tuples: Vec<Tuple> =
+            raw_news.into_iter().map(|(ts, s, t)| news(ts, s, t)).collect();
+        news_tuples.sort_by_key(|t| t.ts);
+        // Alternate quote and news pieces, each one push call.
+        let (qn, nn) = (quotes.len().div_ceil(pieces), news_tuples.len().div_ceil(pieces));
+        let mut segments: Vec<(&str, Vec<Tuple>)> = Vec::new();
+        for (q, n) in quotes.chunks(qn).zip(news_tuples.chunks(nn)) {
+            segments.push(("quotes", q.to_vec()));
+            segments.push(("news", n.to_vec()));
+        }
+        for &cap in &[1usize, 7, 64] {
+            for &shards in &shard_counts() {
+                for hash_key in partition_modes() {
+                    let rows = run_segments(&plan, &segments, cap, shards, hash_key, false);
+                    let columns = run_segments(&plan, &segments, cap, shards, hash_key, true);
+                    prop_assert_eq!(
+                        &columns, &rows,
+                        "kind {} diverged at shards {} (hash_key {}) cap {}",
+                        kind, shards, hash_key, cap
+                    );
                 }
             }
         }
